@@ -1,6 +1,6 @@
-//! Active-set sweep benchmark (full vs exhaustive decision sweep on the
-//! 100k-vertex power-law scenario); writes `BENCH_sweep.json` next to the
-//! working directory.
+//! Active-set sweep benchmark (the optimised partitioner against the naive
+//! reference model on the 100k-vertex power-law scenario); writes
+//! `BENCH_sweep.json` next to the working directory.
 //!
 //! `--scale tiny|quick|paper` sizes the run; the `APG_SWEEP_SCALE`
 //! environment variable overrides it (CI uses `APG_SWEEP_SCALE=tiny` as a
@@ -26,7 +26,7 @@ fn main() {
     // bug, not a data point, so fail loudly instead of shipping a JSON a
     // CI grep might read from a stale checkout.
     if !result.identical_trajectories() {
-        eprintln!("FATAL: active-set sweep diverged from the exhaustive sweep");
+        eprintln!("FATAL: active-set sweep diverged from the reference model");
         std::process::exit(1);
     }
 

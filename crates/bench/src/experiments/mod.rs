@@ -14,6 +14,13 @@ pub mod streaming;
 pub mod sweep;
 pub mod table1;
 
+/// The naive reference model of the heuristic, shared with the integration
+/// tests: the `sweep` bench times it as its base, and the `scaling` bench
+/// checks the slab adjacency against its boxed graph.
+#[allow(dead_code)]
+#[path = "../../../../tests/common/reference.rs"]
+mod reference;
+
 use apg_graph::CsrGraph;
 
 use crate::Scale;

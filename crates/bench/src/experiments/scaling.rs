@@ -19,6 +19,7 @@ use apg_graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch, VertexId};
 use apg_partition::{cut_edges, cut_edges_sharded, InitialStrategy};
 use apg_streams::{forest_fire_delta, ForestFireConfig};
 
+use super::reference::BoxedGraph;
 use crate::Scale;
 
 /// Decision-sweep thread counts swept by the experiment.
@@ -29,8 +30,8 @@ const K: u16 = 8;
 
 /// Power-law vertex count per scale. `Quick` (the default) already runs the
 /// ≥100k-vertex configuration the scaling claim is about; `Tiny` exists for
-/// tests; `Paper` stresses the million-vertex regime the parallel apply and
-/// sharded recount paths target; `Xl` (gate it behind
+/// tests; `Paper` stresses the million-vertex regime the sharded decide and
+/// recount paths target; `Xl` (gate it behind
 /// `APG_SCALING_SCALE=xl` — one run is minutes of work and gigabytes of
 /// graph) pushes to ten million, the slab-adjacency stress regime.
 pub fn vertices(scale: Scale) -> usize {
@@ -95,7 +96,7 @@ pub struct ScalingRow {
     pub wall_ms: WallStats,
     /// Apply-phase share of the iteration work ([`SweepProfile::apply_ms`]
     /// summed over the run's iterations), summarised over repetitions —
-    /// the phase the sharded apply parallelises.
+    /// serial work, flat across thread counts.
     ///
     /// [`SweepProfile::apply_ms`]: apg_core::SweepProfile::apply_ms
     pub apply_ms: WallStats,
@@ -139,10 +140,6 @@ pub struct ScalingResult {
     /// Sharded cut-recount timing, one row per thread count; every
     /// recount's result is checked against the serial `cut_edges`.
     pub recount: Vec<RecountRow>,
-    /// Whether the sharded apply reproduced the serial `apply_move`
-    /// timeline exactly (histories compared per scenario) — the
-    /// equivalence contract of the parallel apply path.
-    pub apply_parallel_equals_serial: bool,
     /// Whether the slab-backed `DynGraph` matched a boxed-per-vertex
     /// reference adjacency slot-for-slot after replaying identical churn
     /// (growth burst, deletions, compaction) — the layout-invariance
@@ -188,10 +185,8 @@ fn fingerprint(history: &[IterationStats]) -> u64 {
     }))
 }
 
-fn config(threads: usize, serial_apply: bool) -> AdaptiveConfig {
-    AdaptiveConfig::new(K)
-        .parallelism(threads)
-        .apply_serial(serial_apply)
+fn config(threads: usize) -> AdaptiveConfig {
+    AdaptiveConfig::new(K).parallelism(threads)
 }
 
 /// One measured run: `(history, wall_ms, apply_ms)` where `apply_ms` is
@@ -219,11 +214,10 @@ fn run_powerlaw(
     graph: &CsrGraph,
     _burst: &UpdateBatch,
     threads: usize,
-    serial_apply: bool,
     seed: u64,
     iters: usize,
 ) -> Measured {
-    let cfg = config(threads, serial_apply);
+    let cfg = config(threads);
     let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
     let mut apply_ms = 0.0;
     let start = Instant::now();
@@ -241,12 +235,11 @@ fn run_burst(
     graph: &CsrGraph,
     burst: &UpdateBatch,
     threads: usize,
-    serial_apply: bool,
     seed: u64,
     iters: usize,
 ) -> Measured {
     let warm = iters / 3;
-    let cfg = config(threads, serial_apply);
+    let cfg = config(threads);
     let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
     let mut apply_ms = 0.0;
     let start = Instant::now();
@@ -265,102 +258,19 @@ fn burst_update_batch(graph: &CsrGraph, seed: u64) -> UpdateBatch {
     forest_fire_delta(&shadow, &ForestFireConfig::burst(burst, seed ^ 0xF1FE))
 }
 
-/// The pre-slab adjacency shape — one boxed, sorted `Vec` per vertex —
-/// kept alive here as the reference the slab layout is checked against.
-/// Implements [`apg_graph::DeltaTarget`] with exactly `DynGraph`'s
-/// documented mutation semantics (sorted lists, tombstones strip
-/// adjacency, ids never reused, self-loops/dead endpoints/duplicates
-/// rejected), so replaying one batch into both must yield identical
-/// per-slot lists.
-struct BoxedAdjacency {
-    adj: Vec<Vec<VertexId>>,
-    alive: Vec<bool>,
-    num_edges: usize,
-}
-
-impl BoxedAdjacency {
-    fn from_csr(g: &CsrGraph) -> Self {
-        let n = g.num_vertices();
-        BoxedAdjacency {
-            adj: (0..n as VertexId)
-                .map(|v| g.neighbors(v).to_vec())
-                .collect(),
-            alive: vec![true; n],
-            num_edges: g.num_edges(),
-        }
-    }
-
-    fn is_live(&self, v: VertexId) -> bool {
-        (v as usize) < self.alive.len() && self.alive[v as usize]
-    }
-}
-
-impl apg_graph::delta::DeltaTarget for BoxedAdjacency {
-    fn delta_add_vertex(&mut self) -> VertexId {
-        self.adj.push(Vec::new());
-        self.alive.push(true);
-        (self.adj.len() - 1) as VertexId
-    }
-
-    fn delta_add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.is_live(u) || !self.is_live(v) {
-            return false;
-        }
-        match self.adj[u as usize].binary_search(&v) {
-            Ok(_) => return false,
-            Err(pos) => self.adj[u as usize].insert(pos, v),
-        }
-        let pos = self.adj[v as usize].binary_search(&u).unwrap_err();
-        self.adj[v as usize].insert(pos, u);
-        self.num_edges += 1;
-        true
-    }
-
-    fn delta_remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.is_live(u) || !self.is_live(v) {
-            return false;
-        }
-        match self.adj[u as usize].binary_search(&v) {
-            Ok(pos) => self.adj[u as usize].remove(pos),
-            Err(_) => return false,
-        };
-        let pos = self.adj[v as usize]
-            .binary_search(&u)
-            .expect("asymmetric adjacency");
-        self.adj[v as usize].remove(pos);
-        self.num_edges -= 1;
-        true
-    }
-
-    fn delta_remove_vertex(&mut self, v: VertexId) -> Option<usize> {
-        if !self.is_live(v) {
-            return None;
-        }
-        let neighbors = std::mem::take(&mut self.adj[v as usize]);
-        for &w in &neighbors {
-            let list = &mut self.adj[w as usize];
-            if let Ok(pos) = list.binary_search(&v) {
-                list.remove(pos);
-            }
-        }
-        self.num_edges -= neighbors.len();
-        self.alive[v as usize] = false;
-        Some(neighbors.len())
-    }
-}
-
 /// Replays identical churn — a forest-fire growth burst, then a deletion
 /// wave heavy enough to trigger arena compaction — into the slab-backed
-/// [`DynGraph`] and into [`BoxedAdjacency`], then compares every slot:
+/// [`DynGraph`] and into the reference model's [`BoxedGraph`], then
+/// compares every slot:
 /// liveness, neighbour list, and edge count. Runs at a fixed small size
 /// (the contract is about layout correctness, not scale), so an `xl`
 /// invocation doesn't pay for it twice.
 fn layout_equals_reference(seed: u64) -> bool {
     let base = gen::holme_kim(10_000, 8, 0.1, seed ^ 0x51AB);
     let mut slab = DynGraph::from(&base);
-    let mut boxed = BoxedAdjacency::from_csr(&base);
+    let mut boxed = BoxedGraph::from_graph(&base);
 
-    let replay = |batch: &UpdateBatch, slab: &mut DynGraph, boxed: &mut BoxedAdjacency| {
+    let replay = |batch: &UpdateBatch, slab: &mut DynGraph, boxed: &mut BoxedGraph| {
         batch.apply_to(slab);
         batch.apply_to(boxed);
     };
@@ -385,13 +295,7 @@ fn layout_equals_reference(seed: u64) -> bool {
 
     // Compaction is layout-only; comparing after forcing one proves it.
     slab.compact_adjacency();
-
-    slab.num_vertices() == boxed.adj.len()
-        && slab.num_edges() == boxed.num_edges
-        && (0..slab.num_vertices() as VertexId).all(|v| {
-            slab.is_vertex(v) == boxed.is_live(v)
-                && slab.neighbors(v) == boxed.adj[v as usize].as_slice()
-        })
+    boxed.diff(&slab).is_none()
 }
 
 /// Runs the full sweep.
@@ -403,19 +307,18 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
     let burst = burst_update_batch(&graph, seed);
     let reps = reps.max(1);
 
-    type Scenario = fn(&CsrGraph, &UpdateBatch, usize, bool, u64, usize) -> Measured;
+    type Scenario = fn(&CsrGraph, &UpdateBatch, usize, u64, usize) -> Measured;
     let scenarios: [(&'static str, Scenario); 2] =
         [("powerlaw", run_powerlaw), ("forest-fire-burst", run_burst)];
 
     let mut rows = Vec::new();
-    let mut apply_parallel_equals_serial = true;
     for (name, scenario) in scenarios {
         for &threads in &THREADS {
             let mut samples = Vec::with_capacity(reps);
             let mut apply_samples = Vec::with_capacity(reps);
             let mut history = Vec::new();
             for _ in 0..reps {
-                let (h, ms, apply) = scenario(&graph, &burst, threads, false, seed, iters);
+                let (h, ms, apply) = scenario(&graph, &burst, threads, seed, iters);
                 samples.push(ms);
                 apply_samples.push(apply);
                 history = h;
@@ -430,22 +333,13 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
                 fingerprint: fingerprint(&history),
             });
         }
-        // Equivalence arm: one serial-apply run at the widest fan-out must
-        // reproduce the parallel rows' history bit-for-bit.
-        let widest = *THREADS.last().expect("THREADS is non-empty");
-        let (serial_history, _, _) = scenario(&graph, &burst, widest, true, seed, iters);
-        let serial_print = fingerprint(&serial_history);
-        apply_parallel_equals_serial &= rows
-            .iter()
-            .filter(|r| r.scenario == name)
-            .all(|r| r.fingerprint == serial_print);
     }
 
     // Sharded recount timing: the one-shot cost `from_parts`/restore pays.
     // Every timed recount is also checked against the serial count, so a
     // wrong-but-fast recount cannot post a good number.
     let assignment =
-        AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config(1, false), seed);
+        AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config(1), seed);
     let partitioning = assignment.partitioning().clone();
     let serial_cut = cut_edges(&graph, &partitioning);
     let mut recount = Vec::new();
@@ -472,7 +366,6 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
         threads_available: apg_exec::available_parallelism(),
         rows,
         recount,
-        apply_parallel_equals_serial,
         layout_equals_reference: layout_equals_reference(seed),
     }
 }
@@ -495,10 +388,6 @@ pub fn to_json(result: &ScalingResult) -> String {
     out.push_str(&format!(
         "  \"deterministic_across_threads\": {},\n",
         result.deterministic_across_threads()
-    ));
-    out.push_str(&format!(
-        "  \"apply_parallel_equals_serial\": {},\n",
-        result.apply_parallel_equals_serial
     ));
     out.push_str(&format!(
         "  \"layout_equals_reference\": {},\n",
@@ -605,14 +494,6 @@ pub fn print(result: &ScalingResult) {
         }
     );
     println!(
-        "parallel apply matches serial apply: {}",
-        if result.apply_parallel_equals_serial {
-            "yes (equivalence contract holds)"
-        } else {
-            "NO — INVESTIGATE"
-        }
-    );
-    println!(
         "slab adjacency matches boxed reference: {}",
         if result.layout_equals_reference {
             "yes (layout contract holds)"
@@ -631,10 +512,6 @@ mod tests {
         let result = run(Scale::Tiny, 1, 5);
         assert_eq!(result.rows.len(), 2 * THREADS.len());
         assert!(result.deterministic_across_threads());
-        assert!(
-            result.apply_parallel_equals_serial,
-            "sharded apply diverged from the serial apply"
-        );
         assert_eq!(result.recount.len(), THREADS.len());
         // The trajectories, not just the fingerprints, must agree.
         for scenario in ["powerlaw", "forest-fire-burst"] {
@@ -663,7 +540,6 @@ mod tests {
             "unbalanced JSON:\n{json}"
         );
         assert!(json.contains("\"deterministic_across_threads\": true"));
-        assert!(json.contains("\"apply_parallel_equals_serial\": true"));
         assert!(json.contains("\"layout_equals_reference\": true"));
         assert!(json.contains("\"scale\": \"tiny\""));
         assert!(json.contains("\"threads_available\""));

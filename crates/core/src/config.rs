@@ -276,9 +276,6 @@ impl AdaptiveConfigBuilder {
             count_self: self.count_self,
             parallelism: self.parallelism,
             drain_floor: self.drain_floor,
-            sweep_exhaustive: false,
-            apply_serial: false,
-            budget_fixed: false,
         })
     }
 }
@@ -296,6 +293,11 @@ impl AdaptiveConfigBuilder {
 ///   returns `Result<_, ConfigError>`.
 /// * [`AdaptiveConfig::new`] plus panicking chainers — the original API,
 ///   kept as a thin shim for call sites with statically known-good values.
+///
+/// Every field is a production setting, and every field is persisted with
+/// a checkpoint. There are no hidden test switches: the naive reference
+/// model that proves the optimised paths (active-set sweep, sharded
+/// decide, drain-early budget) exact lives in `tests/common/reference.rs`.
 ///
 /// # Example
 ///
@@ -361,7 +363,8 @@ pub struct AdaptiveConfig {
     /// active set, where every skipped iteration is provably a no-op
     /// (every inactive vertex decides *Stay*; the active-set exactness
     /// invariant), so the recorded [`crate::TimelineStats`] are
-    /// byte-identical to a fixed-budget run. A positive floor trades that
+    /// byte-identical to a fixed-budget run (the reference model's). A
+    /// positive floor trades that
     /// guarantee for earlier cutoffs: the last few stragglers of a batch
     /// are left to the next batch's budget, which can perturb the
     /// timeline.
@@ -371,32 +374,6 @@ pub struct AdaptiveConfig {
     /// fast-forward it for future draws to stay aligned with a
     /// fixed-budget run.
     pub drain_floor: f64,
-    /// Diagnostic/test hook: force the decision sweep to evaluate **every**
-    /// live vertex instead of only the active set. Because randomness is
-    /// keyed per `(seed, vertex, iteration)` and skipped vertices provably
-    /// decide *Stay*, both modes produce identical migration histories —
-    /// the exhaustive mode exists so tests and benches can pin exactly
-    /// that. Transient: deliberately not part of the persisted
-    /// configuration (decoded states always get the default `false`).
-    #[doc(hidden)]
-    pub sweep_exhaustive: bool,
-    /// Diagnostic/test hook: force the apply phase to run the serial
-    /// per-migrant [`apply_move`] loop instead of the sharded parallel
-    /// apply. Both paths produce identical state — the serial mode exists
-    /// so tests and benches can pin exactly that. Transient: not part of
-    /// the persisted configuration.
-    ///
-    /// [`apply_move`]: crate::AdaptivePartitioner
-    #[doc(hidden)]
-    pub apply_serial: bool,
-    /// Diagnostic/test hook: force [`crate::StreamingRunner`] to burn the
-    /// full fixed per-batch iteration budget, ignoring
-    /// [`AdaptiveConfig::drain_floor`]'s early stop. At the default
-    /// `drain_floor = 0.0` both modes record identical timelines — the
-    /// fixed mode exists so tests and benches can pin exactly that.
-    /// Transient: not part of the persisted configuration.
-    #[doc(hidden)]
-    pub budget_fixed: bool,
 }
 
 impl AdaptiveConfig {
@@ -522,33 +499,6 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Forces the exhaustive (every-live-vertex) decision sweep; see
-    /// [`AdaptiveConfig::sweep_exhaustive`]. Results are identical either
-    /// way — this only trades away the active-set skip, for tests and
-    /// benches that compare the two.
-    #[doc(hidden)]
-    pub fn sweep_exhaustive(mut self, yes: bool) -> Self {
-        self.sweep_exhaustive = yes;
-        self
-    }
-
-    /// Forces the serial per-migrant apply loop; see
-    /// [`AdaptiveConfig::apply_serial`]. Results are identical either way —
-    /// this exists for tests and benches that compare the two.
-    #[doc(hidden)]
-    pub fn apply_serial(mut self, yes: bool) -> Self {
-        self.apply_serial = yes;
-        self
-    }
-
-    /// Forces the fixed per-batch iteration budget; see
-    /// [`AdaptiveConfig::budget_fixed`].
-    #[doc(hidden)]
-    pub fn budget_fixed(mut self, yes: bool) -> Self {
-        self.budget_fixed = yes;
-        self
-    }
-
     /// Anneals the willingness linearly from `start` to `end` over the
     /// given number of iterations.
     ///
@@ -635,7 +585,6 @@ mod tests {
     fn drain_floor_defaults_to_fully_drained() {
         let c = AdaptiveConfig::new(4);
         assert_eq!(c.drain_floor, 0.0);
-        assert!(!c.apply_serial && !c.budget_fixed);
         let c = AdaptiveConfig::builder(4)
             .drain_floor(0.25)
             .build()
@@ -699,7 +648,6 @@ mod tests {
                 over_iterations: 40
             })
         );
-        assert!(!c.sweep_exhaustive, "diagnostic hook never set by builder");
     }
 
     #[test]

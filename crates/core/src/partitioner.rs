@@ -54,15 +54,14 @@ impl IterationStats {
 /// [`AdaptivePartitioner::iterate_profiled`]; everything here is a
 /// measurement or a sweep-internal count, deliberately **not** part of
 /// [`IterationStats`] (whose equality pins deterministic history, which
-/// must not depend on whether the active-set skip was enabled).
+/// must not depend on how much work the active-set skip saved).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepProfile {
     /// Active slots when the iteration started.
     pub active_before: usize,
     /// Active slots when the iteration finished.
     pub active_after: usize,
-    /// Vertices the decision phase visited (all live vertices in
-    /// exhaustive mode, the live active ones otherwise).
+    /// Vertices the decision phase visited (the active ones).
     pub visited: usize,
     /// Shards the fan-out scheduled (shards with no active slot are
     /// skipped outright in active-set mode).
@@ -144,10 +143,11 @@ enum CapacityMode {
 /// instead of `O(|V|)`.
 ///
 /// Because per-vertex RNG keying makes skipping exact, the history is
-/// *identical* to an exhaustive sweep's
-/// ([`AdaptiveConfig::sweep_exhaustive`] pins this); a converged, quiet
-/// partitioner iterates in `O(shards)` bookkeeping, and a streaming one
-/// pays per batch in proportion to the region the batch dirtied.
+/// *identical* to an exhaustive sweep's (the naive reference model in
+/// `tests/common/reference.rs` sweeps every live vertex, and
+/// `tests/reference_equivalence.rs` pins the two together); a converged,
+/// quiet partitioner iterates in `O(shards)` bookkeeping, and a streaming
+/// one pays per batch in proportion to the region the batch dirtied.
 ///
 /// # Example
 ///
@@ -506,7 +506,6 @@ impl AdaptivePartitioner {
         let plan = ShardPlan::with_default_size(self.graph.slot_range().len());
         debug_assert_eq!(self.active.len(), plan.len(), "active set out of sync");
         debug_assert_eq!(self.active.shard_size(), plan.shard_size());
-        let exhaustive = self.config.sweep_exhaustive;
         let graph = &self.graph;
         let partitioning = &self.partitioning;
         let active = &self.active;
@@ -515,15 +514,11 @@ impl AdaptivePartitioner {
         let round = self.iteration as u64;
         let active_before = active.num_active();
 
+        // The dirtied-region work list: only shards with active slots, each
+        // trimmed to its first..=last active slot, so the fan-out covers the
+        // region recent churn touched and nothing else.
         self.scratch.shards.clear();
-        if exhaustive {
-            self.scratch.shards.extend(plan.ranges().enumerate());
-        } else {
-            // The dirtied-region work list: only shards with active slots,
-            // each trimmed to its first..=last active slot, so the fan-out
-            // covers the region recent churn touched and nothing else.
-            active.collect_dirty_shards(&mut self.scratch.shards);
-        }
+        active.collect_dirty_shards(&mut self.scratch.shards);
         let shards_swept = self.scratch.shards.len();
         let slots_scheduled: usize = self.scratch.shards.iter().map(|(_, r)| r.len()).sum();
 
@@ -546,16 +541,10 @@ impl AdaptivePartitioner {
         let outcomes: Vec<ShardOutcome> =
             fanout::map_items(self.config.parallelism, work, |_, (kernel, (_, slots))| {
                 let mut out = ShardOutcome::default();
-                if exhaustive {
-                    for v in graph.live_in(slots.clone()) {
-                        evaluate_vertex(v, s, seed, round, graph, partitioning, kernel, &mut out);
-                    }
-                } else {
-                    for slot in active.iter_in(slots.clone()) {
-                        let v = slot as VertexId;
-                        debug_assert!(graph.is_vertex(v), "tombstone {v} in active set");
-                        evaluate_vertex(v, s, seed, round, graph, partitioning, kernel, &mut out);
-                    }
+                for slot in active.iter_in(slots.clone()) {
+                    let v = slot as VertexId;
+                    debug_assert!(graph.is_vertex(v), "tombstone {v} in active set");
+                    evaluate_vertex(v, s, seed, round, graph, partitioning, kernel, &mut out);
                 }
                 out
             });
@@ -589,22 +578,18 @@ impl AdaptivePartitioner {
         }
         let merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
 
-        // Apply phase: move vertices, updating the cut incrementally and
-        // re-dirtying each migrant's neighbourhood. The sharded path is the
-        // default; `apply_serial` keeps the per-migrant loop alive as the
-        // equivalence reference (both produce identical state — the
-        // apply-equivalence proptests pin this).
+        // Apply phase: move vertices one at a time in admission order,
+        // updating the cut incrementally and re-dirtying each migrant's
+        // neighbourhood. Serial on purpose: a sharded apply (per-shard cut
+        // and degree-mass deltas plus dirty lists, merged in shard order)
+        // measured 1.7-3.6x slower than this loop on a 2-core host, at 1
+        // and 2 threads, from 100k to 1M vertices. The index loop keeps
+        // `pending`'s capacity in place across iterations.
         let apply_start = Instant::now();
         let migrations = self.pending.len();
-        if self.config.apply_serial {
-            // Index loop rather than iterating a moved-out buffer, so
-            // `pending` keeps its capacity in place across iterations.
-            for i in 0..self.pending.len() {
-                let (v, to) = self.pending[i];
-                self.apply_move(v, to);
-            }
-        } else {
-            self.apply_pending_sharded();
+        for i in 0..migrations {
+            let (v, to) = self.pending[i];
+            self.apply_move(v, to);
         }
         let apply_ms = apply_start.elapsed().as_secs_f64() * 1e3;
 
@@ -626,94 +611,6 @@ impl AdaptivePartitioner {
             apply_ms,
         };
         (self.stats_snapshot(migrations), profile)
-    }
-
-    /// Applies every admitted migration at once on the sharded fan-out.
-    ///
-    /// The migration set is frozen after admission and each vertex moves at
-    /// most once, so a migrant's cut and degree-mass deltas are pure
-    /// functions of the iteration-start labels plus the migration list: a
-    /// neighbour's post-apply label is its own migration target if it is
-    /// migrating (`pending` is sorted by vertex id, so membership is a
-    /// binary search), its frozen label otherwise. Shards of the migrant
-    /// list therefore compute independent `{cut delta, degree-mass delta,
-    /// dirty list}` outcomes against the frozen snapshot — each
-    /// migrant–migrant edge is counted by its lower-id endpoint, every
-    /// other edge by its migrant — and the single-threaded merge folds
-    /// them in shard order, then replays the label/size bookkeeping in
-    /// admission order. The resulting state is identical to running
-    /// [`AdaptivePartitioner::apply_move`] per migrant in admission order
-    /// (dirty-marking is idempotent and the deltas are exact), which
-    /// [`AdaptiveConfig::apply_serial`] keeps alive as the reference.
-    fn apply_pending_sharded(&mut self) {
-        let k = self.config.num_partitions as usize;
-        let graph = &self.graph;
-        let partitioning = &self.partitioning;
-        let pending = &self.pending;
-        debug_assert!(
-            pending.windows(2).all(|w| w[0].0 < w[1].0),
-            "pending not sorted by vertex id"
-        );
-        let plan = ShardPlan::with_default_size(pending.len());
-        let outcomes = fanout::map_shards(self.config.parallelism, &plan, |_, migrants| {
-            let mut out = ApplyOutcome {
-                cut_delta: 0,
-                mass_delta: vec![0i64; k],
-                dirty: Vec::new(),
-            };
-            for i in migrants {
-                let (v, to) = pending[i];
-                let from = partitioning.partition_of(v);
-                if from == to {
-                    continue;
-                }
-                out.dirty.push(v as usize);
-                for &w in graph.neighbors(v) {
-                    // The neighbour sees v's label change: it re-enters
-                    // the active set (exactly as `apply_move` marks it).
-                    out.dirty.push(w as usize);
-                    let old_w = partitioning.partition_of(w);
-                    let (new_w, counts_edge) = match migrant_target(pending, w) {
-                        // A migrant–migrant edge contributes one delta,
-                        // owned by the lower-id endpoint.
-                        Some(target) => (target, v < w),
-                        None => (old_w, true),
-                    };
-                    if counts_edge {
-                        out.cut_delta += (to != new_w) as i64 - (from != old_w) as i64;
-                    }
-                }
-                let deg = graph.degree(v) as i64;
-                out.mass_delta[from as usize] -= deg;
-                out.mass_delta[to as usize] += deg;
-            }
-            out
-        });
-
-        let mut cut = self.cut as i64;
-        for out in &outcomes {
-            cut += out.cut_delta;
-            for (p, delta) in out.mass_delta.iter().enumerate() {
-                self.degree_mass[p] = (self.degree_mass[p] as i64 + delta) as usize;
-            }
-            for &slot in &out.dirty {
-                self.active.mark(slot);
-            }
-        }
-        self.cut = cut as usize;
-        for i in 0..self.pending.len() {
-            let (v, to) = self.pending[i];
-            let from = self.partitioning.partition_of(v);
-            if from == to {
-                continue;
-            }
-            self.partitioning.move_vertex(v, to);
-            // Only the migrant's own label changed; neighbours are dirty
-            // for the *sweep* (out.dirty above), not for checkpoints.
-            self.changed.mark(v as usize);
-            self.note_size_gain(to);
-            self.note_size_loss(from);
-        }
     }
 
     fn apply_move(&mut self, v: VertexId, to: PartitionId) {
@@ -1133,28 +1030,6 @@ struct ShardOutcome {
     visited: usize,
 }
 
-/// What one shard of the parallel apply produced: the cut and degree-mass
-/// deltas of its migrants' moves, computed against the frozen
-/// iteration-start labels, plus the slots those moves dirty. Folding the
-/// outcomes in shard order reproduces the serial
-/// [`AdaptivePartitioner::apply_move`] loop's final state exactly.
-#[derive(Debug)]
-struct ApplyOutcome {
-    cut_delta: i64,
-    mass_delta: Vec<i64>,
-    dirty: Vec<usize>,
-}
-
-/// Looks up `w`'s admitted migration target, if any. `pending` is sorted
-/// ascending by vertex id (admission order), so membership is a binary
-/// search.
-fn migrant_target(pending: &[(VertexId, PartitionId)], w: VertexId) -> Option<PartitionId> {
-    pending
-        .binary_search_by_key(&w, |&(v, _)| v)
-        .ok()
-        .map(|i| pending[i].1)
-}
-
 /// Evaluates one vertex against the frozen iteration-start snapshot.
 ///
 /// Every draw comes from the vertex's own `(seed, vertex, round)` RNG —
@@ -1366,33 +1241,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_apply_matches_serial_apply() {
-        let g = gen::mesh3d(12, 12, 12);
-        let run = |serial: bool, threads: usize| {
-            let cfg = AdaptiveConfig::new(4)
-                .willingness(1.0)
-                .parallelism(threads)
-                .apply_serial(serial);
-            let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 41);
-            let mut history = p.run_for(12);
-            let v = p.add_vertex_with_edges(&[0, 5, 9]);
-            p.add_edge(v, 100);
-            p.remove_vertex(200);
-            history.extend(p.run_for(12));
-            p.audit();
-            (
-                history,
-                p.partitioning().clone(),
-                p.cut_edges(),
-                p.degree_mass().to_vec(),
-            )
-        };
-        let reference = run(true, 1);
-        assert_eq!(reference, run(false, 1));
-        assert_eq!(reference, run(false, 8));
-    }
-
-    #[test]
     fn from_partitioning_resumes() {
         let g = gen::mesh3d(4, 4, 4);
         let cfg = AdaptiveConfig::new(2);
@@ -1401,29 +1249,6 @@ mod tests {
         let p2 = AdaptivePartitioner::from_partitioning(&g, assignment.clone(), &cfg, 2);
         assert_eq!(p2.partitioning(), &assignment);
         assert_eq!(p2.cut_edges(), cut_edges(&g, &assignment));
-    }
-
-    #[test]
-    fn active_sweep_matches_exhaustive_sweep() {
-        // The tentpole contract: with per-vertex RNG keying, skipping
-        // interior vertices is exact — histories are identical whether the
-        // active-set skip is on (default) or forced off.
-        let g = gen::mesh3d(10, 10, 10);
-        let run = |exhaustive: bool| {
-            let cfg = AdaptiveConfig::new(4)
-                .willingness(0.7)
-                .sweep_exhaustive(exhaustive);
-            let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 23);
-            let mut history = p.run_for(8);
-            let v = p.add_vertex_with_edges(&[0, 1, 5, 17]);
-            p.add_edge(v, 40);
-            p.remove_edge(2, 3);
-            p.remove_vertex(77);
-            history.extend(p.run_for(8));
-            p.audit();
-            (history, p.partitioning().clone(), p.cut_edges())
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

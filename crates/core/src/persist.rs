@@ -179,12 +179,9 @@ impl Decode for Anneal {
 }
 
 impl Encode for AdaptiveConfig {
-    /// The diagnostic hooks (`sweep_exhaustive`, `apply_serial`,
-    /// `budget_fixed`) are deliberately absent: they are transient test
-    /// switches that never alter results, not logical state — persisting
-    /// them would change the wire format for knobs that never alter
-    /// behaviour. `drain_floor` *is* persisted (format v2): a non-default
-    /// floor changes which iterations a resumed stream executes.
+    /// Every field is persisted. `drain_floor` joined in format v2: a
+    /// non-default floor changes which iterations a resumed stream
+    /// executes.
     fn encode(&self, enc: &mut Encoder) {
         self.num_partitions.encode(enc);
         self.willingness.encode(enc);
@@ -218,9 +215,6 @@ impl Decode for AdaptiveConfig {
             count_self: bool::decode(dec)?,
             parallelism: usize::decode(dec)?,
             drain_floor: f64::decode(dec)?,
-            sweep_exhaustive: false,
-            apply_serial: false,
-            budget_fixed: false,
         };
         if config.num_partitions == 0 {
             return Err(DecodeError::Corrupt("config has zero partitions"));

@@ -17,10 +17,10 @@
 //! goes where the batch landed. At the default floor of `0.0` (stop only
 //! when fully drained) every skipped iteration is provably a no-op, so the
 //! recorded timeline is byte-identical to a fixed-budget run
-//! ([`AdaptiveConfig::budget_fixed`] forces that mode for comparison).
+//! (`tests/reference_equivalence.rs` pins it against the fixed-budget
+//! reference model).
 //!
 //! [`AdaptiveConfig::drain_floor`]: crate::AdaptiveConfig::drain_floor
-//! [`AdaptiveConfig::budget_fixed`]: crate::AdaptiveConfig::budget_fixed
 //!
 //! # Determinism
 //!
@@ -365,13 +365,10 @@ impl StreamingRunner {
 
     /// Whether the adaptive budget should stop executing this batch's
     /// remaining iterations: the active set has drained to (or below) the
-    /// configured floor. Never true in `budget_fixed` mode.
+    /// configured floor.
     fn budget_drained(&self) -> bool {
         use apg_graph::Graph;
         let config = self.partitioner.config();
-        if config.budget_fixed {
-            return false;
-        }
         let live = self.partitioner.graph().num_live_vertices();
         let floor = (config.drain_floor * live as f64) as usize;
         self.partitioner.num_active_vertices() <= floor
@@ -480,12 +477,10 @@ impl StreamingRunner {
     }
 
     /// Total budgeted iterations the adaptive budget skipped (rather than
-    /// executed) across the run so far — 0 in
-    /// [`budget_fixed`](crate::AdaptiveConfig::budget_fixed) mode or when
-    /// no batch drained early. Skipped iterations are still charged to the
-    /// partitioner's iteration counter and to each batch's recorded
-    /// `iterations`, so this is pure wall-clock savings, not a history
-    /// change.
+    /// executed) across the run so far — 0 when no batch drained early.
+    /// Skipped iterations are still charged to the partitioner's iteration
+    /// counter and to each batch's recorded `iterations`, so this is pure
+    /// wall-clock savings, not a history change.
     pub fn iterations_skipped(&self) -> usize {
         self.iterations_skipped
     }
@@ -625,49 +620,6 @@ mod tests {
         assert_eq!(sequential, run(4));
         let migrations: usize = sequential.iter().map(|s| s.migrations).sum();
         assert!(migrations > 0, "scenario too quiet to prove anything");
-    }
-
-    #[test]
-    fn adaptive_budget_preserves_the_timeline_and_skips_work() {
-        // A generous budget on a modest stream: most batches drain their
-        // active set before the budget runs out, so the adaptive run skips
-        // real work — while recording exactly the fixed run's timeline.
-        let config = CdrConfig {
-            initial_subscribers: 300,
-            ..CdrConfig::default()
-        };
-        let graph = DynGraph::with_vertices(config.initial_subscribers);
-        let run = |fixed: bool| {
-            let cfg = AdaptiveConfig::new(2).willingness(1.0).budget_fixed(fixed);
-            let mut stream = CdrStream::new(config, 7);
-            let mut r = StreamingRunner::new(AdaptivePartitioner::with_strategy(
-                &graph,
-                InitialStrategy::Hash,
-                &cfg,
-                7,
-            ))
-            .iterations_per_batch(25);
-            r.drive(&mut stream, 8);
-            r
-        };
-        let adaptive = run(false);
-        let fixed = run(true);
-        assert_eq!(fixed.iterations_skipped(), 0);
-        assert!(
-            adaptive.iterations_skipped() > 0,
-            "a 25-iteration budget should drain early on this stream"
-        );
-        assert_eq!(adaptive.timeline(), fixed.timeline());
-        assert_eq!(
-            adaptive.partitioner().iteration(),
-            fixed.partitioner().iteration(),
-            "skipped iterations must still be charged to the counter"
-        );
-        assert_eq!(
-            adaptive.partitioner().partitioning(),
-            fixed.partitioner().partitioning()
-        );
-        adaptive.partitioner().audit();
     }
 
     #[test]

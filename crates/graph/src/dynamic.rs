@@ -232,19 +232,6 @@ impl DynGraph {
         0..self.adj.num_slots()
     }
 
-    /// Live vertices within a slot sub-range, ascending — the read-only
-    /// shard view the parallel decision sweep iterates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots.end > num_vertices()`.
-    pub fn live_in(&self, slots: std::ops::Range<usize>) -> impl Iterator<Item = VertexId> + '_ {
-        self.alive[slots.clone()]
-            .iter()
-            .zip(slots)
-            .filter_map(|(&alive, slot)| alive.then_some(slot as VertexId))
-    }
-
     /// Returns every undirected edge once, with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         (0..self.adj.num_slots()).flat_map(move |u| {
@@ -399,18 +386,6 @@ mod tests {
         assert_eq!(g.neighbors(1), &[] as &[VertexId]);
         assert_eq!(g.degree(1), 0);
         assert!(!g.is_vertex(1));
-    }
-
-    #[test]
-    fn live_in_matches_vertices_per_shard() {
-        let mut g = DynGraph::with_vertices(10);
-        g.remove_vertex(2);
-        g.remove_vertex(7);
-        assert_eq!(g.slot_range(), 0..10);
-        let stitched: Vec<VertexId> = g.live_in(0..5).chain(g.live_in(5..10)).collect();
-        let whole: Vec<VertexId> = g.vertices().collect();
-        assert_eq!(stitched, whole);
-        assert_eq!(g.live_in(2..3).count(), 0);
     }
 
     #[test]

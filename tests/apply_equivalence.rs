@@ -1,168 +1,20 @@
-//! Property tests pinning the parallel apply's equivalence contract: the
-//! sharded apply phase (fan migrants over a `ShardPlan`, merge per-shard
-//! outcomes in shard order) must produce **exactly** the state the serial
-//! `apply_move` loop produces — same `IterationStats` history, same
-//! assignment, same incremental cut, same degree-mass vector, same active
-//! set — for any graph, seed, willingness, parallelism and interleaved
-//! `UpdateBatch` churn. The migration set is fixed before the apply phase
-//! and each vertex moves at most once, which is what makes the fan-out
-//! exact rather than approximate.
-//!
-//! The serial reference runs through the same code path with the
-//! `#[doc(hidden)]` [`AdaptiveConfig::apply_serial`] knob, so the two modes
-//! differ only in how the pending migration set is committed.
-//!
-//! The same file pins the adaptive iteration budget: skipping provably
-//! no-op iterations (empty active set, default `drain_floor` of zero) must
-//! never change the recorded `TimelineStats` relative to a fixed budget.
+//! The adaptive iteration budget: `StreamingRunner` skips the budgeted
+//! iterations left once the active set drains. At the default
+//! `drain_floor` of zero every skipped iteration is provably a no-op, so
+//! the recorded `TimelineStats` must equal a fixed-budget run — the naive
+//! reference model's (`tests/common/reference.rs`). The fuzzed version of
+//! that contract lives in `tests/reference_equivalence.rs`; this file keeps
+//! the converged-stream regression pin and the non-zero-floor sanity run.
 
-use proptest::prelude::*;
+#[allow(dead_code)]
+#[path = "common/reference.rs"]
+mod reference;
 
-use apg::core::{AdaptiveConfig, AdaptivePartitioner, IterationStats, StreamingRunner};
-use apg::graph::{gen, CsrGraph, Graph, UpdateBatch};
+use apg::core::{AdaptiveConfig, AdaptivePartitioner, StreamingRunner, TimelineStats};
+use apg::graph::{gen, DynGraph, UpdateBatch};
 use apg::partition::InitialStrategy;
-use apg::streams::{CdrConfig, CdrStream, PowerLawGrowth};
-
-/// Random simple graph as an edge list over `n` vertices.
-fn arb_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
-    (2usize..max_n).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32), 0..n * 4)
-            .prop_map(move |edges| CsrGraph::from_edges(n, &edges))
-    })
-}
-
-/// Everything the apply phase can influence.
-#[derive(Debug, Clone, PartialEq)]
-struct Observed {
-    history: Vec<IterationStats>,
-    assignment: Vec<u16>,
-    cut: usize,
-    degree_mass: Vec<usize>,
-    active: Vec<u32>,
-}
-
-/// Builds one fuzzed churn batch. `apply_batch` routes through the
-/// tolerant mutators (unknown endpoints and duplicate edges are ignored),
-/// so arbitrary op tuples are safe.
-fn churn_batch(ops: &[(u8, u32, u32)], range: u32) -> UpdateBatch {
-    let mut batch = UpdateBatch::new();
-    for &(op, a, b) in ops {
-        let (a, b) = (a % range, b % range);
-        match op % 4 {
-            0 => {
-                let v = batch.add_vertex(vec![a, b]);
-                if op % 8 >= 4 {
-                    let w = batch.add_vertex(vec![]);
-                    batch.connect_new(v, w);
-                }
-            }
-            1 => batch.add_edge(a, b),
-            2 => batch.remove_edge(a, b),
-            _ => batch.remove_vertex(a),
-        }
-    }
-    batch
-}
-
-/// Runs iteration blocks interleaved with `UpdateBatch` churn in one apply
-/// mode at one parallelism; returns everything observable.
-fn run_scenario(
-    graph: &CsrGraph,
-    ops: &[(u8, u32, u32)],
-    parallelism: usize,
-    s: f64,
-    seed: u64,
-    serial_apply: bool,
-) -> Observed {
-    let cfg = AdaptiveConfig::new(4)
-        .willingness(s)
-        .parallelism(parallelism)
-        .apply_serial(serial_apply);
-    let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
-    let mut history = p.run_for(3);
-    for chunk in ops.chunks(3) {
-        let range = p.graph().num_vertices().max(1) as u32;
-        p.apply_batch(&churn_batch(chunk, range));
-        history.extend(p.run_for(2));
-    }
-    history.extend(p.run_for(3));
-    p.audit();
-    let active = (0..p.graph().num_vertices() as u32)
-        .filter(|&v| p.is_active(v))
-        .collect();
-    Observed {
-        history,
-        assignment: p.partitioning().as_slice().to_vec(),
-        cut: p.cut_edges(),
-        degree_mass: p.degree_mass().to_vec(),
-        active,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Sharded apply ≡ serial apply at parallelism 1, 2 and 8: identical
-    /// histories (including `max_partition`, the live-size peak), final
-    /// assignments, cut counts, degree-mass vectors and active sets under
-    /// interleaved `UpdateBatch` churn.
-    #[test]
-    fn parallel_apply_equals_serial_apply(
-        g in arb_graph(48),
-        ops in proptest::collection::vec((0u8..8, 0u32..64, 0u32..64), 0..24),
-        seed in 0u64..1000,
-        s_percent in 10u32..101,
-    ) {
-        let s = s_percent as f64 / 100.0;
-        let reference = run_scenario(&g, &ops, 1, s, seed, true);
-        for parallelism in [1usize, 2, 8] {
-            let sharded = run_scenario(&g, &ops, parallelism, s, seed, false);
-            prop_assert_eq!(&sharded.history, &reference.history,
-                "histories diverged at parallelism {}", parallelism);
-            prop_assert_eq!(&sharded.assignment, &reference.assignment,
-                "assignments diverged at parallelism {}", parallelism);
-            prop_assert_eq!(sharded.cut, reference.cut,
-                "cut counts diverged at parallelism {}", parallelism);
-            prop_assert_eq!(&sharded.degree_mass, &reference.degree_mass,
-                "degree masses diverged at parallelism {}", parallelism);
-            prop_assert_eq!(&sharded.active, &reference.active,
-                "active sets diverged at parallelism {}", parallelism);
-        }
-    }
-
-    /// The adaptive budget records exactly the fixed budget's timeline on
-    /// growth streams, whether or not any iterations were skippable: with
-    /// the default `drain_floor` of zero, only provably no-op iterations
-    /// are skipped, and the skipped iterations are still charged to the
-    /// budget and the RNG iteration counter.
-    #[test]
-    fn adaptive_budget_never_changes_the_timeline(seed in 0u64..200) {
-        let base = apg::graph::DynGraph::from(&gen::mesh3d(4, 4, 3));
-        let run = |fixed: bool| {
-            let cfg = AdaptiveConfig::new(3).budget_fixed(fixed);
-            let p = AdaptivePartitioner::with_strategy(
-                &base, InitialStrategy::Hash, &cfg, seed,
-            );
-            let mut r = StreamingRunner::new(p).iterations_per_batch(12);
-            let mut source = PowerLawGrowth::new(&base, 2, 5, seed ^ 0xAB);
-            r.drive(&mut source, 6);
-            r
-        };
-        let adaptive = run(false);
-        let fixed = run(true);
-        prop_assert_eq!(fixed.iterations_skipped(), 0);
-        prop_assert_eq!(adaptive.timeline(), fixed.timeline());
-        prop_assert_eq!(
-            adaptive.partitioner().iteration(),
-            fixed.partitioner().iteration()
-        );
-        prop_assert_eq!(
-            adaptive.partitioner().partitioning(),
-            fixed.partitioner().partitioning()
-        );
-        adaptive.partitioner().audit();
-    }
-}
+use apg::streams::{CdrConfig, CdrStream, PowerLawGrowth, StreamSource};
+use reference::ReferenceModel;
 
 /// A converged stream where the adaptive budget provably skips: the
 /// regression pin for the "identical timelines, less work" claim (the
@@ -173,26 +25,30 @@ fn adaptive_budget_skips_on_a_converged_stream() {
         initial_subscribers: 300,
         ..CdrConfig::default()
     };
-    let graph = apg::graph::DynGraph::with_vertices(config.initial_subscribers);
-    let run = |fixed: bool| {
-        let cfg = AdaptiveConfig::new(2).willingness(1.0).budget_fixed(fixed);
-        let p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 7);
-        let mut r = StreamingRunner::new(p).iterations_per_batch(25);
-        let mut stream = CdrStream::new(config, 7);
-        r.drive(&mut stream, 8);
-        r
-    };
-    let adaptive = run(false);
-    let fixed = run(true);
+    let graph = DynGraph::with_vertices(config.initial_subscribers);
+    let cfg = AdaptiveConfig::new(2).willingness(1.0);
+    let mut stream = CdrStream::new(config, 7);
+    let batches: Vec<UpdateBatch> = (0..8).map(|_| stream.next_batch().unwrap()).collect();
+
+    let mut model = ReferenceModel::with_strategy(&graph, InitialStrategy::Hash, &cfg, 7);
+    let fixed: Vec<TimelineStats> = batches.iter().map(|b| model.ingest(b, 25)).collect();
+
+    let p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 7);
+    let mut r = StreamingRunner::new(p).iterations_per_batch(25);
+    for batch in &batches {
+        r.ingest(batch);
+    }
     assert!(
-        adaptive.iterations_skipped() > 0,
+        r.iterations_skipped() > 0,
         "budget never drained — scenario no longer converges"
     );
-    assert_eq!(adaptive.timeline(), fixed.timeline());
+    assert_eq!(r.timeline(), fixed.as_slice());
+    assert_eq!(r.partitioner().iteration(), model.iteration());
     assert_eq!(
-        adaptive.partitioner().partitioning(),
-        fixed.partitioner().partitioning()
+        r.partitioner().partitioning().as_slice(),
+        model.assignment()
     );
+    r.partitioner().audit();
 }
 
 /// A non-zero `drain_floor` trades exactness for earlier stops; the run
@@ -200,7 +56,7 @@ fn adaptive_budget_skips_on_a_converged_stream() {
 /// legitimately differ from the fixed-budget one.
 #[test]
 fn drain_floor_runs_stay_consistent() {
-    let base = apg::graph::DynGraph::from(&gen::mesh3d(5, 5, 4));
+    let base = DynGraph::from(&gen::mesh3d(5, 5, 4));
     let cfg = AdaptiveConfig::new(3).drain_floor(0.05);
     let p = AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, 13);
     let mut r = StreamingRunner::new(p).iterations_per_batch(10);

@@ -139,7 +139,7 @@ proptest! {
     }
 
     /// The same property at parallelism 1, 2 and 8 — the changed-set
-    /// discipline must hold under the sharded apply path too.
+    /// discipline must hold under the sharded decision sweep too.
     #[test]
     fn delta_equals_full_at_all_parallelism(
         ops in proptest::collection::vec((0u8..5, 0u32..96, 0u32..96), 8..48),

@@ -1,115 +1,24 @@
 //! Layout-equivalence regression suite: the slab-backed `DynGraph`
 //! adjacency must behave exactly like the boxed `Vec<Vec<_>>` layout it
-//! replaced, under arbitrary batched churn — tombstones, re-additions and
-//! forced compaction included. The slab is a memory layout, not a graph
-//! semantics change and not a wire-format change, so this file also pins
-//! the persisted format version.
+//! replaced (the reference model's [`BoxedGraph`]), under arbitrary
+//! batched churn — tombstones, re-additions and forced compaction
+//! included. The slab is a memory layout, not a graph semantics change and
+//! not a wire-format change, so this file also pins the persisted format
+//! version.
+
+#[allow(dead_code)]
+#[path = "common/reference.rs"]
+mod reference;
 
 use proptest::prelude::*;
 
-use apg::graph::delta::DeltaTarget;
 use apg::graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch, VertexId};
-
-/// The pre-slab adjacency layout — one heap allocation per vertex — kept
-/// as an executable reference model of `DynGraph`'s mutation semantics.
-#[derive(Debug, Default)]
-struct BoxedGraph {
-    adj: Vec<Vec<VertexId>>,
-    alive: Vec<bool>,
-    num_edges: usize,
-}
-
-impl BoxedGraph {
-    fn with_vertices(n: usize) -> Self {
-        BoxedGraph {
-            adj: vec![Vec::new(); n],
-            alive: vec![true; n],
-            num_edges: 0,
-        }
-    }
-
-    fn is_live(&self, v: VertexId) -> bool {
-        (v as usize) < self.alive.len() && self.alive[v as usize]
-    }
-
-    fn insert_sorted(list: &mut Vec<VertexId>, w: VertexId) -> bool {
-        match list.binary_search(&w) {
-            Ok(_) => false,
-            Err(i) => {
-                list.insert(i, w);
-                true
-            }
-        }
-    }
-
-    fn remove_sorted(list: &mut Vec<VertexId>, w: VertexId) -> bool {
-        match list.binary_search(&w) {
-            Ok(i) => {
-                list.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-}
-
-impl DeltaTarget for BoxedGraph {
-    fn delta_add_vertex(&mut self) -> VertexId {
-        let id = self.adj.len() as VertexId;
-        self.adj.push(Vec::new());
-        self.alive.push(true);
-        id
-    }
-
-    fn delta_add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.is_live(u) || !self.is_live(v) {
-            return false;
-        }
-        if !Self::insert_sorted(&mut self.adj[u as usize], v) {
-            return false;
-        }
-        Self::insert_sorted(&mut self.adj[v as usize], u);
-        self.num_edges += 1;
-        true
-    }
-
-    fn delta_remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.is_live(u) || !self.is_live(v) {
-            return false;
-        }
-        if !Self::remove_sorted(&mut self.adj[u as usize], v) {
-            return false;
-        }
-        Self::remove_sorted(&mut self.adj[v as usize], u);
-        self.num_edges -= 1;
-        true
-    }
-
-    fn delta_remove_vertex(&mut self, v: VertexId) -> Option<usize> {
-        if !self.is_live(v) {
-            return None;
-        }
-        let nbrs = std::mem::take(&mut self.adj[v as usize]);
-        for &w in &nbrs {
-            Self::remove_sorted(&mut self.adj[w as usize], v);
-        }
-        self.num_edges -= nbrs.len();
-        self.alive[v as usize] = false;
-        Some(nbrs.len())
-    }
-}
+use reference::BoxedGraph;
 
 /// Asserts the slab graph and the boxed reference agree slot-for-slot.
 fn assert_same(slab: &DynGraph, boxed: &BoxedGraph) {
-    assert_eq!(slab.num_vertices(), boxed.adj.len());
-    assert_eq!(slab.num_edges(), boxed.num_edges);
-    for v in 0..boxed.adj.len() as VertexId {
-        assert_eq!(slab.is_vertex(v), boxed.is_live(v), "liveness at slot {v}");
-        assert_eq!(
-            slab.neighbors(v),
-            boxed.adj[v as usize].as_slice(),
-            "adjacency at slot {v}"
-        );
+    if let Some(difference) = boxed.diff(slab) {
+        panic!("slab diverged from the boxed reference: {difference}");
     }
 }
 
