@@ -5,15 +5,22 @@
 //! keyed per `(seed, vertex, iteration)` and skipped vertices provably
 //! decide *Stay*.
 //!
-//! The exhaustive reference runs through the same code path with the
-//! `#[doc(hidden)]` [`AdaptiveConfig::sweep_exhaustive`] knob, so the two
-//! modes differ only in which slots the decision phase visits.
+//! The exhaustive sweep is the naive reference model's
+//! (`tests/common/reference.rs`). This file drives the partitioner through
+//! its single-mutation API, one op at a time; the batch-driven version of
+//! the same contract is `tests/reference_equivalence.rs`.
+
+#[allow(dead_code)]
+#[path = "common/reference.rs"]
+mod reference;
 
 use proptest::prelude::*;
 
 use apg::core::{AdaptiveConfig, AdaptivePartitioner, IterationStats};
 use apg::graph::{gen, CsrGraph, Graph};
 use apg::partition::InitialStrategy;
+use apg_graph::delta::DeltaTarget;
+use reference::ReferenceModel;
 
 /// Random simple graph as an edge list over `n` vertices.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
@@ -23,45 +30,44 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-/// Runs the scripted scenario — iteration blocks interleaved with a fuzzed
-/// mutation stream — in one sweep mode; returns everything observable.
-fn run_scenario(
-    graph: &CsrGraph,
-    ops: &[(u8, u32, u32)],
-    k: u16,
-    s: f64,
-    seed: u64,
-    exhaustive: bool,
-) -> (Vec<IterationStats>, Vec<u16>, usize) {
-    let cfg = AdaptiveConfig::new(k)
-        .willingness(s)
-        .parallelism(2)
-        .sweep_exhaustive(exhaustive);
-    let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
-    let mut history = p.run_for(3);
-    for chunk in ops.chunks(3) {
-        for &(op, a, b) in chunk {
-            let range = p.graph().num_vertices().max(1) as u32;
-            match op % 4 {
-                0 => {
-                    p.add_vertex_with_edges(&[a % range, b % range]);
-                }
-                1 => {
-                    p.add_edge(a % range, b % range);
-                }
-                2 => {
-                    p.remove_edge(a % range, b % range);
-                }
-                _ => {
-                    p.remove_vertex(a % range);
-                }
-            }
+/// Applies one fuzzed op to the partitioner through its mutators.
+fn mutate(p: &mut AdaptivePartitioner, op: u8, a: u32, b: u32) {
+    let range = p.graph().num_vertices().max(1) as u32;
+    match op % 4 {
+        0 => {
+            p.add_vertex_with_edges(&[a % range, b % range]);
         }
-        history.extend(p.run_for(2));
+        1 => {
+            p.add_edge(a % range, b % range);
+        }
+        2 => {
+            p.remove_edge(a % range, b % range);
+        }
+        _ => {
+            p.remove_vertex(a % range);
+        }
     }
-    history.extend(p.run_for(3));
-    p.audit();
-    (history, p.partitioning().as_slice().to_vec(), p.cut_edges())
+}
+
+/// The same op on the model, through its delta hooks.
+fn mutate_model(m: &mut ReferenceModel, op: u8, a: u32, b: u32) {
+    let range = m.graph().num_vertices().max(1) as u32;
+    match op % 4 {
+        0 => {
+            let v = m.delta_add_vertex();
+            m.delta_add_edge(v, a % range);
+            m.delta_add_edge(v, b % range);
+        }
+        1 => {
+            m.delta_add_edge(a % range, b % range);
+        }
+        2 => {
+            m.delta_remove_edge(a % range, b % range);
+        }
+        _ => {
+            m.delta_remove_vertex(a % range);
+        }
+    }
 }
 
 proptest! {
@@ -77,12 +83,34 @@ proptest! {
         seed in 0u64..1000,
         s_percent in 10u32..101,
     ) {
-        let s = s_percent as f64 / 100.0;
-        let active = run_scenario(&g, &ops, 4, s, seed, false);
-        let exhaustive = run_scenario(&g, &ops, 4, s, seed, true);
-        prop_assert_eq!(&active.0, &exhaustive.0, "histories diverged");
-        prop_assert_eq!(&active.1, &exhaustive.1, "assignments diverged");
-        prop_assert_eq!(active.2, exhaustive.2, "cut counts diverged");
+        let cfg = AdaptiveConfig::new(4)
+            .willingness(s_percent as f64 / 100.0)
+            .parallelism(2);
+
+        let mut m = ReferenceModel::with_strategy(&g, InitialStrategy::Hash, &cfg, seed);
+        let mut expected: Vec<IterationStats> = m.run_for(3);
+        for chunk in ops.chunks(3) {
+            for &(op, a, b) in chunk {
+                mutate_model(&mut m, op, a, b);
+            }
+            expected.extend(m.run_for(2));
+        }
+        expected.extend(m.run_for(3));
+
+        let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, seed);
+        let mut history = p.run_for(3);
+        for chunk in ops.chunks(3) {
+            for &(op, a, b) in chunk {
+                mutate(&mut p, op, a, b);
+            }
+            history.extend(p.run_for(2));
+        }
+        history.extend(p.run_for(3));
+        p.audit();
+
+        prop_assert_eq!(&history, &expected, "histories diverged");
+        prop_assert_eq!(p.partitioning().as_slice(), m.assignment(), "assignments diverged");
+        prop_assert_eq!(p.cut_edges(), m.cut_edges(), "cut counts diverged");
     }
 
     /// The active-set invariant holds at every observation point, not just
@@ -99,21 +127,7 @@ proptest! {
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, seed);
         p.audit();
         for &(op, a, b) in &ops {
-            let range = p.graph().num_vertices().max(1) as u32;
-            match op % 4 {
-                0 => {
-                    p.add_vertex_with_edges(&[a % range, b % range]);
-                }
-                1 => {
-                    p.add_edge(a % range, b % range);
-                }
-                2 => {
-                    p.remove_edge(a % range, b % range);
-                }
-                _ => {
-                    p.remove_vertex(a % range);
-                }
-            }
+            mutate(&mut p, op, a, b);
             p.audit();
             p.iterate();
             p.audit();
