@@ -381,6 +381,20 @@ impl AdaptivePartitioner {
         self.quiet_streak
     }
 
+    /// RNG seed.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The explicit capacity limits, if automatic tracking was overridden
+    /// with [`AdaptivePartitioner::set_fixed_capacities`].
+    pub(crate) fn fixed_capacities(&self) -> Option<&CapacityModel> {
+        match &self.capacity_mode {
+            CapacityMode::Auto => None,
+            CapacityMode::Fixed(caps) => Some(caps),
+        }
+    }
+
     /// Vertices the next decision sweep will visit (the active set): every
     /// vertex with a cut-incident edge plus everything dirtied by
     /// mutations or migrations since its last evaluation. This is the
@@ -867,10 +881,7 @@ impl AdaptivePartitioner {
             seed: self.seed,
             iteration: self.iteration,
             quiet_streak: self.quiet_streak,
-            fixed_capacities: match &self.capacity_mode {
-                CapacityMode::Auto => None,
-                CapacityMode::Fixed(caps) => Some(caps.clone()),
-            },
+            fixed_capacities: self.fixed_capacities().cloned(),
         }
     }
 

@@ -456,7 +456,7 @@ impl StreamCheckpoint {
     }
 
     /// Structural invariants every checkpoint must satisfy, however it was
-    /// built (decoded whole, or reconstituted by [`CheckpointDelta::apply`]):
+    /// built (decoded whole, or advanced by [`CheckpointDelta::apply_to`]):
     /// the timeline-window bookkeeping and the partitioner-state
     /// cross-checks.
     pub(crate) fn validate(&self) -> Result<(), DecodeError> {
@@ -555,13 +555,13 @@ impl Decode for StreamCheckpoint {
 /// timeline window's slide (dropped-entry count + new entries). Small
 /// scalars (config, seed, counters, the `O(k)` size table) ride along in
 /// full — they are a rounding error next to the graph. Applying a delta to
-/// its base ([`CheckpointDelta::apply`]) reproduces the newer checkpoint
+/// its base ([`CheckpointDelta::apply_to`]) reproduces the newer checkpoint
 /// **byte-identically**, which is what lets a recovery replay
 /// base-plus-chain and land exactly where a full snapshot would have.
 ///
 /// Serialised as a framed `APGD` container
 /// ([`format::MAGIC_DELTA`]); deltas are decoded from disk, so
-/// `apply` validates everything — structurally via
+/// `apply_to` validates everything — structurally via
 /// [`GraphDiff::validate_against`], and end-to-end via
 /// `StreamCheckpoint::validate` — before any state escapes.
 #[derive(Debug, Clone, PartialEq)]
@@ -612,45 +612,52 @@ pub struct CheckpointDelta {
     /// eviction gap; carried verbatim otherwise (entries that were born
     /// *and* evicted between the two checkpoints exist in neither).
     pub timeline_digest: u64,
-    /// Write-ahead tail (empty for store-installed deltas: the store's
-    /// segments carry the tail).
+    /// Write-ahead tail. [`CheckpointDelta::between`] leaves it empty: the
+    /// store's segments carry the tail.
     pub tail: DeltaLog,
 }
 
 impl CheckpointDelta {
-    /// Encodes `current` against `base`, given the ascending changed-slot
-    /// superset the mutation paths tracked (see
-    /// [`AdaptivePartitioner::changed_slots`]) and the store link
-    /// `(base_seq, base_digest)` of the durable base.
+    /// Encodes the live `runner`'s state against `base`, given the
+    /// ascending changed-slot superset the mutation paths tracked since
+    /// `base` (see [`AdaptivePartitioner::changed_slots`]) and the store
+    /// link `(base_seq, base_digest)` of the durable base.
     ///
-    /// Returns `None` when `current` is not reachable from `base` by
+    /// The current side is read from the runner in place — no copy of its
+    /// graph or assignment is taken — so the work is O(changed slots +
+    /// their degrees + timeline window), plus a prefix comparison of the
+    /// recorded log when the runner records one.
+    ///
+    /// Returns `None` when the runner is not reachable from `base` by
     /// append-only growth — the recorded log is not an extension of the
     /// base's, the timeline's retained base suffix was rewritten, or the
     /// slot space shrank. Callers fall back to a full snapshot install;
     /// `None` is a policy signal, not an error.
     pub fn between(
         base: &StreamCheckpoint,
-        current: &StreamCheckpoint,
+        runner: &StreamingRunner,
         changed: &[usize],
         base_seq: u64,
         base_digest: u64,
     ) -> Option<CheckpointDelta> {
+        let partitioner = runner.partitioner();
         let base_n = base.state.graph.num_vertices();
-        let cur_n = current.state.graph.num_vertices();
-        if cur_n < base_n || current.batches_ingested < base.batches_ingested {
+        let cur_n = partitioner.graph().num_vertices();
+        let batches_ingested = runner.batches_ingested();
+        if cur_n < base_n || batches_ingested < base.batches_ingested {
             return None;
         }
         // The recorded log only ever appends; anything else (a toggled
         // `record`, an in-memory compaction) breaks the chain.
-        if base.log.len() > current.log.len()
-            || base.log.batches() != &current.log.batches()[..base.log.len()]
-        {
+        let log = runner.log().batches();
+        if base.log.len() > log.len() || base.log.batches() != &log[..base.log.len()] {
             return None;
         }
         // The timeline slides forward: entries the window still retains
-        // from the base must reappear verbatim at the front of `current`.
+        // from the base must reappear verbatim at the front of the runner's.
+        let timeline = runner.timeline();
         let base_evicted = base.batches_ingested - base.timeline.len();
-        let cur_evicted = current.batches_ingested - current.timeline.len();
+        let cur_evicted = batches_ingested - timeline.len();
         if cur_evicted < base_evicted {
             return None;
         }
@@ -659,14 +666,14 @@ impl CheckpointDelta {
             .saturating_sub(cur_evicted)
             .min(base.timeline.len());
         let dropped = base.timeline.len() - keep;
-        if current.timeline.len() < keep || base.timeline[dropped..] != current.timeline[..keep] {
+        if timeline.len() < keep || base.timeline[dropped..] != timeline[..keep] {
             return None;
         }
-        let graph = GraphDiff::between(&base.state.graph, &current.state.graph, changed);
+        let graph = GraphDiff::between(&base.state.graph, partitioner.graph(), changed);
         // Label records: every tracked slot whose assignment moved, plus
         // newborns (merged in exactly as `GraphDiff::between` does).
         let base_assign = base.state.partitioning.as_slice();
-        let cur_assign = current.state.partitioning.as_slice();
+        let cur_assign = partitioner.partitioning().as_slice();
         let mut labels = Vec::new();
         let mut push_label = |slot: usize| {
             if slot >= base_n || base_assign[slot] != cur_assign[slot] {
@@ -697,82 +704,63 @@ impl CheckpointDelta {
             base_digest,
             graph,
             labels,
-            sizes: current.state.partitioning.sizes().to_vec(),
-            config: current.state.config.clone(),
-            seed: current.state.seed,
-            iteration: current.state.iteration,
-            quiet_streak: current.state.quiet_streak,
-            fixed_capacities: current.state.fixed_capacities.clone(),
-            iterations_per_batch: current.iterations_per_batch,
-            record: current.record,
+            sizes: partitioner.partitioning().sizes().to_vec(),
+            config: partitioner.config().clone(),
+            seed: partitioner.seed(),
+            iteration: partitioner.iteration(),
+            quiet_streak: partitioner.quiet_streak(),
+            fixed_capacities: partitioner.fixed_capacities().cloned(),
+            iterations_per_batch: runner.iterations_budget(),
+            record: runner.records_log(),
             base_log_len: base.log.len(),
-            log_suffix: DeltaLog::from(current.log.batches()[base.log.len()..].to_vec()),
+            log_suffix: DeltaLog::from(log[base.log.len()..].to_vec()),
             timeline_dropped: dropped,
-            timeline_new: current.timeline[keep..].to_vec(),
-            timeline_window: current.timeline_window,
-            batches_ingested: current.batches_ingested,
-            timeline_digest: current.timeline_digest,
-            tail: current.tail.clone(),
+            timeline_new: timeline[keep..].to_vec(),
+            timeline_window: runner.timeline_window_len(),
+            batches_ingested,
+            timeline_digest: runner.timeline_digest(),
+            tail: DeltaLog::new(),
         })
     }
 
-    /// Reconstitutes the checkpoint this delta encodes, given its base.
+    /// Advances `base` in place to the checkpoint this delta encodes. This
+    /// is the one apply path: [`CheckpointStore::install`] advances its
+    /// in-memory diff base with it, and [`CheckpointStore::open`] replays
+    /// the recovered chain with it.
     ///
-    /// Every invariant is validated before the result escapes: the graph
-    /// diff against the base graph, label/size consistency, log chaining,
-    /// the timeline slide and its digest, and finally the full
-    /// `StreamCheckpoint::validate` pass — a delta applied to the wrong
-    /// base, or a corrupted one, yields a typed error, never a panic or a
-    /// silently divergent checkpoint.
+    /// Every invariant is validated: the graph diff against the base graph,
+    /// label/size consistency, log chaining, the timeline slide and its
+    /// digest, and finally the full `StreamCheckpoint::validate` pass — a
+    /// delta applied to the wrong base, or a corrupted one, yields a typed
+    /// error, never a panic or a silently divergent checkpoint. The checks
+    /// that need only the base run before anything is mutated.
+    ///
+    /// No copy of the base is taken: the work is O(changed) plus the
+    /// validation passes over the label array.
     ///
     /// # Errors
     ///
-    /// [`DecodeError::Corrupt`] naming the violated invariant.
-    pub fn apply(&self, base: &StreamCheckpoint) -> Result<StreamCheckpoint, DecodeError> {
-        let mut graph = base.state.graph.clone();
-        self.graph.apply_to(&mut graph)?;
-        let base_n = base.state.graph.num_vertices();
-        // Labels: base assignment, slid under the records. Tombstones keep
-        // their stale base label (the wire format persists it), so absence
-        // of a record is itself meaningful.
-        let mut assignment = base.state.partitioning.as_slice().to_vec();
-        assignment.resize(self.graph.new_slots, 0);
-        for &(slot, label) in &self.labels {
-            assignment[slot] = label;
-        }
-        for slot in base_n..self.graph.new_slots {
-            if self
-                .labels
-                .binary_search_by_key(&slot, |&(s, _)| s)
-                .is_err()
-            {
-                return Err(DecodeError::Corrupt("newborn slot missing a label record"));
-            }
-        }
-        let partitioning = Partitioning::from_labels_and_live_sizes(assignment, self.sizes.clone())
-            .map_err(DecodeError::Corrupt)?;
+    /// [`DecodeError::Corrupt`] naming the violated invariant. On error
+    /// `base` may be partially advanced and must be discarded.
+    pub fn apply_to(&self, base: &mut StreamCheckpoint) -> Result<(), DecodeError> {
         // Log: the suffix chains at exactly the base's recorded length.
         if self.base_log_len != base.log.len() {
             return Err(DecodeError::Corrupt(
                 "delta log suffix does not chain to the base log",
             ));
         }
-        let mut log = base.log.clone();
-        for batch in self.log_suffix.batches() {
-            log.record(batch.clone());
-        }
-        // Timeline: slide the base window, then append the new entries.
+        // Timeline: the base window slides by `timeline_dropped`, then the
+        // new entries are appended.
         if self.timeline_dropped > base.timeline.len() {
             return Err(DecodeError::Corrupt(
                 "delta drops more timeline entries than the base retains",
             ));
         }
-        let mut timeline = base.timeline[self.timeline_dropped..].to_vec();
-        timeline.extend(self.timeline_new.iter().cloned());
+        let timeline_len = base.timeline.len() - self.timeline_dropped + self.timeline_new.len();
         let base_evicted = base.batches_ingested - base.timeline.len();
         let cur_evicted =
             self.batches_ingested
-                .checked_sub(timeline.len())
+                .checked_sub(timeline_len)
                 .ok_or(DecodeError::Corrupt(
                     "timeline longer than the batches-ingested counter",
                 ))?;
@@ -798,27 +786,41 @@ impl CheckpointDelta {
                 ));
             }
         }
-        let checkpoint = StreamCheckpoint {
-            state: PartitionerState {
-                graph,
-                partitioning,
-                config: self.config.clone(),
-                seed: self.seed,
-                iteration: self.iteration,
-                quiet_streak: self.quiet_streak,
-                fixed_capacities: self.fixed_capacities.clone(),
-            },
-            iterations_per_batch: self.iterations_per_batch,
-            record: self.record,
-            log,
-            timeline_window: self.timeline_window,
-            batches_ingested: self.batches_ingested,
-            timeline_digest: self.timeline_digest,
-            timeline,
-            tail: self.tail.clone(),
-        };
-        checkpoint.validate()?;
-        Ok(checkpoint)
+        // Labels: tombstones keep their stale base label (the wire format
+        // persists it), so absence of a record is itself meaningful — but a
+        // newborn slot has no base label to keep.
+        for slot in base.state.graph.num_vertices()..self.graph.new_slots {
+            if self
+                .labels
+                .binary_search_by_key(&slot, |&(s, _)| s)
+                .is_err()
+            {
+                return Err(DecodeError::Corrupt("newborn slot missing a label record"));
+            }
+        }
+
+        self.graph.apply_to(&mut base.state.graph)?;
+        base.state
+            .partitioning
+            .relabel(self.graph.new_slots, &self.labels, &self.sizes)
+            .map_err(DecodeError::Corrupt)?;
+        base.state.config = self.config.clone();
+        base.state.seed = self.seed;
+        base.state.iteration = self.iteration;
+        base.state.quiet_streak = self.quiet_streak;
+        base.state.fixed_capacities = self.fixed_capacities.clone();
+        base.iterations_per_batch = self.iterations_per_batch;
+        base.record = self.record;
+        for batch in self.log_suffix.batches() {
+            base.log.record(batch.clone());
+        }
+        base.timeline.drain(..self.timeline_dropped);
+        base.timeline.extend_from_slice(&self.timeline_new);
+        base.timeline_window = self.timeline_window;
+        base.batches_ingested = self.batches_ingested;
+        base.timeline_digest = self.timeline_digest;
+        base.tail = self.tail.clone();
+        base.validate()
     }
 
     /// Serialises as a framed, versioned delta file (`APGD` magic).
@@ -832,7 +834,7 @@ impl CheckpointDelta {
     ///
     /// Any [`DecodeError`]: wrong magic, unsupported version, truncation,
     /// or a payload violating the bytes-only delta invariants (base-aware
-    /// validation happens in [`CheckpointDelta::apply`]).
+    /// validation happens in [`CheckpointDelta::apply_to`]).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         format::decode_framed(format::MAGIC_DELTA, bytes)
     }
@@ -869,7 +871,7 @@ impl Encode for CheckpointDelta {
 
 impl Decode for CheckpointDelta {
     /// Bytes-only validation (label ordering and range); everything that
-    /// needs the base checkpoint lives in [`CheckpointDelta::apply`].
+    /// needs the base checkpoint lives in [`CheckpointDelta::apply_to`].
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let base_seq = u64::decode(dec)?;
         let base_digest = u64::decode(dec)?;
@@ -996,15 +998,31 @@ pub struct RecoveredCheckpoint {
 }
 
 /// What one [`CheckpointStore::install`] durably wrote.
+///
+/// An incremental install costs O(changed) CPU: the delta is diffed
+/// against the live runner, the full snapshot is encoded only when the
+/// delta is at least an O(1) lower bound on the snapshot's size (3 bytes
+/// per slot plus 1 byte per edge), and the in-memory diff base is advanced
+/// by [`CheckpointDelta::apply_to`], the apply recovery replays the chain
+/// with. A full install costs O(state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstallReport {
     /// Whether the checkpoint was encoded incrementally — a
     /// [`CheckpointDelta`] chained onto the previous root — rather than as
     /// a full snapshot (the first install, a rebase, or a fallback when
-    /// the runner's history was not an append-only extension of the base).
+    /// the runner's history was not an append-only extension of the base
+    /// or the delta was not smaller than the full snapshot).
     pub incremental: bool,
     /// Serialised payload size in bytes (of the delta or full snapshot).
     pub bytes: usize,
+}
+
+/// An O(1) lower bound on the encoded size of a full snapshot whose graph
+/// is `graph`: the snapshot spends at least one byte per slot on each of
+/// its liveness flag, its upper-adjacency length and its label, and at
+/// least one byte per edge (written once, from its lower endpoint).
+fn full_snapshot_lower_bound(graph: &DynGraph) -> usize {
+    3 * graph.num_vertices() + graph.num_edges()
 }
 
 /// File-backed durability for a [`StreamingRunner`]: the
@@ -1015,13 +1033,14 @@ pub struct InstallReport {
 /// The loop: [`CheckpointStore::install`] rarely, [`CheckpointStore::append`]
 /// after every ingested batch (one O(batch) durable frame). Installs are
 /// **incremental** whenever possible: the store keeps the chain-head
-/// checkpoint in memory as the diff base, drains the runner's changed-slot
-/// tracking, and writes an `O(changed-state)` [`CheckpointDelta`] chained
-/// onto the previous root — falling back to a full snapshot on the first
-/// install, when the chain reaches
-/// [`StoreConfig::max_chain_len`] (the rebase, which also
-/// garbage-collects the superseded chain), or when the runner's history
-/// is not an append-only extension of the base. Each install starts a
+/// checkpoint in memory as the diff base, diffs the live runner against it
+/// using the runner's changed-slot tracking, and writes an
+/// `O(changed-state)` [`CheckpointDelta`] chained onto the previous root —
+/// falling back to a full snapshot on the first install, when the chain
+/// reaches [`StoreConfig::max_chain_len`] (the rebase, which also
+/// garbage-collects the superseded chain), when the runner's history is
+/// not an append-only extension of the base, or when the delta is not
+/// smaller than the full snapshot. Each install starts a
 /// fresh write-ahead segment — the file-backed analogue of
 /// [`StreamCheckpoint::compact`]'s bounding of recovery time. After a
 /// crash, [`CheckpointStore::open`] replays base plus chain and rebuilds
@@ -1030,16 +1049,17 @@ pub struct InstallReport {
 #[derive(Debug)]
 pub struct CheckpointStore {
     store: SegmentStore,
-    /// The decoded chain-head checkpoint (tail-free) — what the next
-    /// incremental install diffs against. `None` only on a fresh store
-    /// before its first install.
+    /// The chain-head checkpoint (tail-free) — what the next incremental
+    /// install diffs against. `None` on a fresh store before its first
+    /// install, and after a failed incremental install (the next install
+    /// is then a full snapshot).
     base: Option<StreamCheckpoint>,
 }
 
 impl CheckpointStore {
     /// Opens (or creates) the store in `dir`, recovering whatever was
-    /// durable: the root snapshot, every chained delta applied in order,
-    /// then the write-ahead tail re-appended.
+    /// durable: the root snapshot, every chained delta applied in place
+    /// in order, then the write-ahead tail re-appended.
     ///
     /// # Errors
     ///
@@ -1060,10 +1080,10 @@ impl CheckpointStore {
         };
         for payload in &recovery.deltas {
             let delta = CheckpointDelta::from_bytes(payload)?;
-            let base = head.ok_or(StoreError::Corrupt(
+            let base = head.as_mut().ok_or(StoreError::Corrupt(
                 "delta chain recovered without a base snapshot",
             ))?;
-            head = Some(delta.apply(&base)?);
+            delta.apply_to(base)?;
         }
         let checkpoint = match &head {
             None => None,
@@ -1086,56 +1106,124 @@ impl CheckpointStore {
 
     /// Captures `runner`'s state and makes it the durable recovery root.
     ///
-    /// Writes a chained [`CheckpointDelta`] (`O(changed-state)`) when a
-    /// base exists, the chain is below
-    /// [`StoreConfig::max_chain_len`], and the runner's
-    /// history extends the base append-only; otherwise a full snapshot —
-    /// which is also the **rebase**: installing it folds the chain away
-    /// and garbage-collects the stale files. Either way the manifest flip
-    /// is atomic, a fresh write-ahead segment starts, and the runner's
-    /// changed-slot tracking is drained so the next install diffs against
-    /// exactly this state.
+    /// Writes a chained [`CheckpointDelta`] when a base exists, the chain
+    /// is below [`StoreConfig::max_chain_len`], the runner's history
+    /// extends the base append-only, and the delta is smaller than the
+    /// full snapshot; otherwise a full snapshot — which is also the
+    /// **rebase**: installing it folds the chain away and garbage-collects
+    /// the stale files. Either way the manifest flip is atomic, a fresh
+    /// write-ahead segment starts, and the runner's changed-slot tracking
+    /// is drained so the next install diffs against exactly this state.
+    ///
+    /// The delta path does O(changed) CPU work. The delta is diffed
+    /// against the live runner ([`CheckpointDelta::between`]). The size
+    /// check needs the full snapshot only when the delta is at least an
+    /// O(1) lower bound on its size (3 bytes per slot plus 1 byte per
+    /// edge); below that the snapshot is never encoded, and above it the
+    /// snapshot is encoded and compared exactly, so the choice between
+    /// delta and snapshot is the same as if the snapshot were always
+    /// encoded. The in-memory diff base is then advanced in place by
+    /// [`CheckpointDelta::apply_to`], the same apply that
+    /// [`CheckpointStore::open`] replays the chain with. A full install
+    /// (first, rebase or fallback) is O(state).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`]; on error the previous root stays durable and
     /// the changed-slot tracking is left intact (the failed install never
-    /// becomes a diff base).
+    /// becomes a diff base). A failed incremental install also drops the
+    /// in-memory diff base, so the next install is a full snapshot.
+    /// [`StoreError::Decode`] if the fresh delta does not apply to the
+    /// base — an internal inconsistency, reported before anything is
+    /// written.
     pub fn install(&mut self, runner: &mut StreamingRunner) -> Result<InstallReport, StoreError> {
+        let Some(delta) = self.delta_to(runner) else {
+            let full = runner.checkpoint();
+            let full_bytes = full.to_bytes();
+            return self.install_full(runner, full, &full_bytes);
+        };
+        // A delta only earns its chain link by being smaller than the full
+        // snapshot: when most of the state churned since the base, the
+        // per-slot framing makes the delta *larger* — install full instead,
+        // which also resets the chain for free. Below the snapshot's O(1)
+        // lower bound the delta is smaller without encoding the snapshot.
+        let bytes = delta.to_bytes();
+        if bytes.len() < full_snapshot_lower_bound(runner.partitioner().graph()) {
+            return self.install_delta(runner, &delta, &bytes);
+        }
         let full = runner.checkpoint();
         let full_bytes = full.to_bytes();
-        if !self.store.needs_rebase() {
-            if let (Some(base), Some(seq), Some(digest)) = (
-                self.base.as_ref(),
-                self.store.snapshot_seq(),
-                self.store.root_digest(),
-            ) {
-                let changed = runner.partitioner().changed_slots();
-                if let Some(delta) = CheckpointDelta::between(base, &full, &changed, seq, digest) {
-                    let bytes = delta.to_bytes();
-                    // A delta only earns its chain link by being smaller:
-                    // when most of the state churned since the base, the
-                    // per-slot framing makes the delta *larger* than the
-                    // snapshot it stands in for — install full instead,
-                    // which also resets the chain for free.
-                    if bytes.len() < full_bytes.len() {
-                        self.store.install_delta(&bytes)?;
-                        runner.partitioner_mut().clear_changed();
-                        self.base = Some(full);
-                        return Ok(InstallReport {
-                            incremental: true,
-                            bytes: bytes.len(),
-                        });
-                    }
-                }
-            }
+        if bytes.len() < full_bytes.len() {
+            return self.install_delta(runner, &delta, &bytes);
         }
-        self.store.install_snapshot(&full_bytes)?;
+        self.install_full(runner, full, &full_bytes)
+    }
+
+    /// Makes `full` (encoded as `bytes`) the durable root and the diff base.
+    fn install_full(
+        &mut self,
+        runner: &mut StreamingRunner,
+        full: StreamCheckpoint,
+        bytes: &[u8],
+    ) -> Result<InstallReport, StoreError> {
+        debug_assert!(
+            bytes.len() >= full_snapshot_lower_bound(&full.state.graph),
+            "full snapshot smaller than its lower bound"
+        );
+        self.store.install_snapshot(bytes)?;
         runner.partitioner_mut().clear_changed();
         self.base = Some(full);
         Ok(InstallReport {
             incremental: false,
-            bytes: full_bytes.len(),
+            bytes: bytes.len(),
+        })
+    }
+
+    /// The delta from the in-memory base to `runner`, when one may be
+    /// chained onto the current root.
+    fn delta_to(&self, runner: &StreamingRunner) -> Option<CheckpointDelta> {
+        if self.store.needs_rebase() {
+            return None;
+        }
+        let base = self.base.as_ref()?;
+        let seq = self.store.snapshot_seq()?;
+        let digest = self.store.root_digest()?;
+        let changed = runner.partitioner().changed_slots();
+        CheckpointDelta::between(base, runner, &changed, seq, digest)
+    }
+
+    /// Advances the diff base by `delta`, then makes `bytes` (its encoding)
+    /// the durable root.
+    fn install_delta(
+        &mut self,
+        runner: &mut StreamingRunner,
+        delta: &CheckpointDelta,
+        bytes: &[u8],
+    ) -> Result<InstallReport, StoreError> {
+        // The base is advanced before the write, so a delta that does not
+        // apply never becomes durable. A failure of either step drops the
+        // base: the next install is then a full snapshot, never a diff
+        // against a base the disk does not hold.
+        let base = self
+            .base
+            .as_mut()
+            .expect("a delta is only built against a base");
+        let written = delta
+            .apply_to(base)
+            .map_err(StoreError::from)
+            .and_then(|()| self.store.install_delta(bytes));
+        if let Err(e) = written {
+            self.base = None;
+            return Err(e);
+        }
+        runner.partitioner_mut().clear_changed();
+        debug_assert!(
+            self.base.as_ref() == Some(&runner.checkpoint()),
+            "advanced diff base diverged from the runner"
+        );
+        Ok(InstallReport {
+            incremental: true,
+            bytes: bytes.len(),
         })
     }
 

@@ -174,6 +174,36 @@ impl AdjPool {
         self.spans[slot] = Span::default();
     }
 
+    /// Replaces `slot`'s list with `list`, which must be sorted and
+    /// deduplicated (debug-asserted). Writes in place when the span has
+    /// room; otherwise relocates the span once to the arena end with
+    /// amortized doubling, as [`AdjPool::insert_sorted`] would.
+    pub fn set_list(&mut self, slot: usize, list: &[VertexId]) {
+        debug_assert!(
+            list.windows(2).all(|w| w[0] < w[1]),
+            "list not strictly ascending"
+        );
+        let len = u32::try_from(list.len()).expect("list longer than a span can hold");
+        let span = self.spans[slot];
+        if len > span.cap {
+            let cap = (span.cap * 2).max(len).max(MIN_SPAN_CAP);
+            let offset = self.arena.len();
+            self.arena.resize(offset + cap as usize, 0);
+            self.garbage += span.cap as usize;
+            self.spans[slot] = Span { offset, len, cap };
+        } else {
+            self.spans[slot].len = len;
+        }
+        let offset = self.spans[slot].offset;
+        self.arena[offset..offset + list.len()].copy_from_slice(list);
+    }
+
+    /// Releases the arena's spare capacity (its garbage stays until a
+    /// compaction).
+    pub fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
+    }
+
     /// Entries the arena currently holds (live + garbage + slack).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
@@ -340,6 +370,20 @@ mod tests {
         }
         // Arena is now tight: live entries only.
         assert_eq!(pool.arena_len(), 4 * 64);
+    }
+
+    #[test]
+    fn set_list_reuses_room_and_relocates_once_when_full() {
+        let mut pool = pool_with_lists(&[&[1, 2, 3, 4], &[9]]);
+        pool.set_list(0, &[5, 6]);
+        assert_eq!(pool.neighbors(0), &[5, 6]);
+        assert_eq!(pool.garbage(), 0, "a shorter list stays in its span");
+        let long: Vec<VertexId> = (10..30).collect();
+        pool.set_list(0, &long);
+        assert_eq!(pool.neighbors(0), long.as_slice());
+        assert_eq!(pool.neighbors(1), &[9]);
+        pool.set_list(1, &[]);
+        assert_eq!(pool.neighbors(1), &[] as &[VertexId]);
     }
 
     #[test]

@@ -62,12 +62,21 @@ pub struct SlotDiff {
     pub removed: Vec<VertexId>,
 }
 
-/// A changed slot with its final neighbour list materialised — what the
-/// resolution pass hands to the infallible mutation pass.
-pub(crate) struct ResolvedSlot {
-    pub(crate) slot: usize,
-    pub(crate) alive: bool,
-    pub(crate) neighbors: Vec<VertexId>,
+/// The changed slots with their final neighbour lists materialised — what
+/// the resolution pass hands to the infallible mutation pass. The lists
+/// sit back to back in one buffer.
+pub(crate) struct Resolved {
+    /// Slot, final liveness and the range of its list in `lists`, in diff
+    /// order.
+    pub(crate) slots: Vec<(usize, bool, std::ops::Range<usize>)>,
+    lists: Vec<VertexId>,
+}
+
+impl Resolved {
+    /// The final neighbour list of the `i`-th changed slot.
+    pub(crate) fn neighbors(&self, i: usize) -> &[VertexId] {
+        &self.lists[self.slots[i].2.clone()]
+    }
 }
 
 /// A structural delta from a base [`DynGraph`] to a current one.
@@ -118,8 +127,15 @@ impl GraphDiff {
             } else {
                 (false, &[])
             };
-            // Two-pointer walk over the sorted lists: what the base has
-            // and the current lacks was removed, the converse added.
+            // The sorted lists' common prefix and suffix hold no edits;
+            // skip them, then walk what is left with two pointers: what the
+            // base has and the current lacks was removed, the converse
+            // added.
+            let prefix = common_len(base_list.iter(), cur_list.iter());
+            let (base_list, cur_list) = (&base_list[prefix..], &cur_list[prefix..]);
+            let suffix = common_len(base_list.iter().rev(), cur_list.iter().rev());
+            let base_list = &base_list[..base_list.len() - suffix];
+            let cur_list = &cur_list[..cur_list.len() - suffix];
             let mut added = Vec::new();
             let mut removed = Vec::new();
             let (mut i, mut j) = (0, 0);
@@ -189,7 +205,7 @@ impl GraphDiff {
     /// validating the full invariant list along the way. This is the
     /// trust boundary: nothing escapes un-checked, and the caller gets
     /// materialised lists the mutation pass can install infallibly.
-    fn resolve_against(&self, base: &DynGraph) -> Result<Vec<ResolvedSlot>, DecodeError> {
+    fn resolve_against(&self, base: &DynGraph) -> Result<Resolved, DecodeError> {
         let base_n = base.num_vertices();
         if self.new_slots < base_n {
             return Err(DecodeError::Corrupt("graph diff shrinks the slot space"));
@@ -205,9 +221,10 @@ impl GraphDiff {
             }
             prev = Some(entry.slot);
         }
-        let entry_index = |slot: usize| -> Option<usize> {
-            self.changed.binary_search_by_key(&slot, |e| e.slot).ok()
-        };
+        // Searched by slot for every edited edge's other endpoint: a dense
+        // array of slot ids stays cache-resident where the entries do not.
+        let slots: Vec<usize> = self.changed.iter().map(|e| e.slot).collect();
+        let entry_index = |slot: usize| -> Option<usize> { slots.binary_search(&slot).ok() };
         // Every newborn slot must be described by the diff (its liveness
         // and adjacency are otherwise unknowable).
         for slot in base_n..self.new_slots {
@@ -217,7 +234,10 @@ impl GraphDiff {
         }
         // First pass: per-slot local checks, and materialise each changed
         // slot's final list by merging the base list with the edits.
-        let mut resolved = Vec::with_capacity(self.changed.len());
+        let mut resolved = Resolved {
+            slots: Vec::with_capacity(self.changed.len()),
+            lists: Vec::new(),
+        };
         let mut degree_delta: i64 = 0;
         let mut live_delta: i64 = 0;
         for entry in &self.changed {
@@ -261,51 +281,39 @@ impl GraphDiff {
                 }
             }
             // Merge: (base \ removed) ∪ added. Both edit lists are sorted
-            // and anchored to the base list, so the result stays strictly
-            // ascending without re-sorting.
-            let mut neighbors =
-                Vec::with_capacity(base_list.len() + entry.added.len() - entry.removed.len());
-            let mut removed_it = entry.removed.iter().peekable();
-            let mut added_it = entry.added.iter().peekable();
-            for &w in base_list {
-                if removed_it.peek() == Some(&&w) {
-                    removed_it.next();
-                    continue;
-                }
-                while let Some(&&a) = added_it.peek() {
-                    if a < w {
-                        neighbors.push(a);
-                        added_it.next();
-                    } else {
-                        break;
-                    }
-                }
-                neighbors.push(w);
+            // and anchored to the base list (checked above), so the result
+            // stays strictly ascending without re-sorting, and the base runs
+            // between edit points are copied whole.
+            let neighbors = &mut resolved.lists;
+            let start = neighbors.len();
+            let mut rest = base_list;
+            let mut added = entry.added.as_slice();
+            for &r in &entry.removed {
+                let cut = rest.partition_point(|&w| w < r);
+                merge_below(neighbors, &rest[..cut], &mut added, Some(r));
+                rest = &rest[cut + 1..];
             }
-            neighbors.extend(added_it.copied());
-            if !entry.alive && !neighbors.is_empty() {
+            merge_below(neighbors, rest, &mut added, None);
+            if !entry.alive && neighbors.len() > start {
                 return Err(DecodeError::Corrupt("dead diff slot retains adjacency"));
             }
             degree_delta += entry.added.len() as i64 - entry.removed.len() as i64;
             live_delta += i64::from(entry.alive) - i64::from(base_alive);
-            resolved.push(ResolvedSlot {
-                slot,
-                alive: entry.alive,
-                neighbors,
-            });
+            let end = neighbors.len();
+            resolved.slots.push((slot, entry.alive, start..end));
         }
         // Second pass: cross-slot checks against the final state. Edges
         // untouched by any edit stay symmetric because the base was; only
         // the edited ones need their counterpart verified.
         let final_alive = |slot: usize| -> bool {
             match entry_index(slot) {
-                Some(i) => resolved[i].alive,
+                Some(i) => resolved.slots[i].1,
                 None => base.is_vertex(slot as VertexId),
             }
         };
         let final_has = |slot: usize, w: VertexId| -> bool {
             match entry_index(slot) {
-                Some(i) => resolved[i].neighbors.binary_search(&w).is_ok(),
+                Some(i) => resolved.neighbors(i).binary_search(&w).is_ok(),
                 None => base.neighbors(slot as VertexId).binary_search(&w).is_ok(),
             }
         };
@@ -376,6 +384,36 @@ impl GraphDiff {
         base.apply_validated_diff(self.new_slots, &resolved, self.new_live, self.new_edges);
         Ok(())
     }
+}
+
+/// Length of the common prefix of two sequences.
+fn common_len<'a>(
+    a: impl Iterator<Item = &'a VertexId>,
+    b: impl Iterator<Item = &'a VertexId>,
+) -> usize {
+    a.zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Appends the sorted run `run` to `out` with every entry of `added` below
+/// `bound` (all of them when `None`) merged in, consuming those entries.
+/// `added` must be sorted and disjoint from `run`.
+fn merge_below(
+    out: &mut Vec<VertexId>,
+    mut run: &[VertexId],
+    added: &mut &[VertexId],
+    bound: Option<VertexId>,
+) {
+    while let Some((&a, tail)) = added.split_first() {
+        if bound.is_some_and(|b| a >= b) {
+            break;
+        }
+        let cut = run.partition_point(|&w| w < a);
+        out.extend_from_slice(&run[..cut]);
+        out.push(a);
+        run = &run[cut..];
+        *added = tail;
+    }
+    out.extend_from_slice(run);
 }
 
 impl Encode for SlotDiff {

@@ -191,7 +191,7 @@ impl DynGraph {
     pub(crate) fn apply_validated_diff(
         &mut self,
         new_slots: usize,
-        changed: &[crate::diff::ResolvedSlot],
+        changed: &crate::diff::Resolved,
         new_live: usize,
         new_edges: usize,
     ) {
@@ -199,17 +199,21 @@ impl DynGraph {
             self.adj.push_slot();
             self.alive.push(false);
         }
-        for entry in changed {
-            self.adj.clear_slot(entry.slot);
-            for &w in &entry.neighbors {
-                let inserted = self.adj.insert_sorted(entry.slot, w);
-                debug_assert!(inserted, "validated diff re-inserted a neighbour");
+        for (i, &(slot, alive, _)) in changed.slots.iter().enumerate() {
+            if alive {
+                self.adj.set_list(slot, changed.neighbors(i));
+            } else {
+                self.adj.clear_slot(slot);
             }
-            self.alive[entry.slot] = entry.alive;
+            self.alive[slot] = alive;
         }
         self.num_live = new_live;
         self.num_edges = new_edges;
         self.adj.maybe_compact();
+        // Diffs are applied to checkpoint diff bases, which change only
+        // here: spare arena capacity left by the relocations above would sit
+        // idle until the next apply, so it is released.
+        self.adj.shrink_to_fit();
     }
 
     /// Freezes the current live subgraph into a [`CsrGraph`].

@@ -50,16 +50,18 @@ impl Encode for DynGraph {
             self.is_vertex(v).encode(enc);
         }
         for v in 0..n as VertexId {
-            let upper: Vec<VertexId> = if self.is_vertex(v) {
+            let neighbors: &[VertexId] = if self.is_vertex(v) {
                 self.neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&w| w > v)
-                    .collect()
             } else {
-                Vec::new()
+                &[]
             };
-            upper.encode(enc);
+            // Sorted, so the upper half is a suffix: the same bytes as a
+            // collected `Vec<VertexId>`, without building one.
+            let upper = &neighbors[neighbors.partition_point(|&w| w <= v)..];
+            enc.write_varint(upper.len() as u64);
+            for w in upper {
+                w.encode(enc);
+            }
         }
     }
 }

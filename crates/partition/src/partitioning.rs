@@ -302,8 +302,7 @@ impl apg_persist::Encode for Partitioning {
 impl Partitioning {
     /// Builds a partitioning from raw labels and *live* sizes, running the
     /// same structural validation as the binary decoder — the constructor
-    /// for callers reconstituting state from untrusted bytes (the decoder
-    /// itself, and the incremental-checkpoint apply path in `apg-core`).
+    /// for callers reconstituting state from untrusted bytes.
     ///
     /// # Errors
     ///
@@ -315,7 +314,43 @@ impl Partitioning {
         assignment: Vec<PartitionId>,
         sizes: Vec<usize>,
     ) -> Result<Self, &'static str> {
-        let k = sizes.len();
+        let partitioning = Partitioning { assignment, sizes };
+        partitioning.check_labels_and_live_sizes()?;
+        Ok(partitioning)
+    }
+
+    /// Relabels in place, the in-place counterpart of
+    /// [`Partitioning::from_labels_and_live_sizes`] used by the
+    /// incremental-checkpoint apply path: grows the assignment to `len`
+    /// slots (new slots read 0 until a record names them), overwrites the
+    /// `(slot, label)` records, installs the live `sizes`, then runs the
+    /// same structural validation.
+    ///
+    /// # Errors
+    ///
+    /// A record slot at or beyond `len`, or any error of
+    /// [`Partitioning::from_labels_and_live_sizes`]. On error `self` is
+    /// left partially relabelled and must be discarded.
+    pub fn relabel(
+        &mut self,
+        len: usize,
+        labels: &[(usize, PartitionId)],
+        sizes: &[usize],
+    ) -> Result<(), &'static str> {
+        self.assignment.resize(len, 0);
+        for &(slot, label) in labels {
+            *self
+                .assignment
+                .get_mut(slot)
+                .ok_or("label record slot out of range")? = label;
+        }
+        self.sizes.clear();
+        self.sizes.extend_from_slice(sizes);
+        self.check_labels_and_live_sizes()
+    }
+
+    fn check_labels_and_live_sizes(&self) -> Result<(), &'static str> {
+        let k = self.sizes.len();
         if k == 0 {
             return Err("partitioning has k == 0");
         }
@@ -323,7 +358,7 @@ impl Partitioning {
             return Err("size table length exceeds the partition-id range");
         }
         let mut label_counts = vec![0usize; k];
-        for &p in &assignment {
+        for &p in &self.assignment {
             if p as usize >= k {
                 return Err("assignment entry out of range");
             }
@@ -331,12 +366,12 @@ impl Partitioning {
         }
         // Live sizes can only be what the labels admit (tombstones shrink
         // them, never grow them).
-        for (&size, &labelled) in sizes.iter().zip(&label_counts) {
+        for (&size, &labelled) in self.sizes.iter().zip(&label_counts) {
             if size > labelled {
                 return Err("live size exceeds the slots labelled with the partition");
             }
         }
-        Ok(Partitioning { assignment, sizes })
+        Ok(())
     }
 }
 

@@ -95,9 +95,12 @@ use std::path::{Path, PathBuf};
 
 use crate::{format, DecodeError};
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, the zlib polynomial) slicing-by-8 tables:
+/// `CRC32_TABLES[0]` is the byte-at-a-time table, and `CRC32_TABLES[k]`
+/// advances a byte's contribution past `k` further zero bytes, so eight
+/// lookups fold in eight bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -110,17 +113,41 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// IEEE CRC-32 of `bytes` (the checksum every frame carries).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -960,6 +987,32 @@ mod tests {
         // The canonical IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_definition_at_every_alignment() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xedb8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        }
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bitwise(&data[start..end]));
+            }
+        }
     }
 
     #[test]

@@ -892,6 +892,83 @@ fn windowed_checkpoint_size_is_flat_in_stream_length() {
     );
 }
 
+/// Recovers a copy of `live` (its writer keeps the original open) and
+/// returns the recovered checkpoint's bytes.
+fn recovered_copy_bytes(live: &Path, copy: &Path, config: StoreConfig) -> Vec<u8> {
+    copy_dir(live, copy);
+    let (_store, rec) = CheckpointStore::open(copy, config).unwrap();
+    rec.checkpoint.expect("an install is durable").to_bytes()
+}
+
+/// Churn that rewires every slot between two installs makes the delta no
+/// smaller than the full snapshot: each new edge is listed at both of its
+/// endpoints in the delta, once in the snapshot. The install must fall
+/// back to a full snapshot, and recovery must still be exact.
+#[test]
+fn heavy_churn_installs_full_and_recovers_exactly() {
+    let scratch = Scratch::new("heavy-churn");
+    let live = scratch.0.join("live");
+    let (mut store, _) = CheckpointStore::open(&live, store_config()).unwrap();
+    let mut r = chain_runner();
+    let first = chain_batch(0);
+    r.ingest(&first);
+    store.append(&first).unwrap();
+    assert!(!store.install(&mut r).unwrap().incremental);
+
+    let n = CHAIN_VERTICES as u32;
+    let mut churn = UpdateBatch::new();
+    for v in 0..n {
+        for step in 1..=3 {
+            churn.add_edge(v, (v + step * 37) % n);
+        }
+    }
+    r.ingest(&churn);
+    store.append(&churn).unwrap();
+    assert!(
+        !store.store().needs_rebase(),
+        "the chain has room for a link"
+    );
+    let report = store.install(&mut r).unwrap();
+    assert!(
+        !report.incremental,
+        "a delta no smaller than the snapshot must not chain"
+    );
+    assert_eq!(store.store().chain_len(), 0);
+    assert_eq!(
+        recovered_copy_bytes(&live, &scratch.0.join("copy"), store_config()),
+        r.checkpoint().to_bytes()
+    );
+}
+
+/// Across a delta, delta, rebase, delta install sequence, a copy of the
+/// store directory recovers exactly the runner's checkpoint after every
+/// install: the diff base the store advances in place never drifts from
+/// what recovery replays.
+#[test]
+fn every_install_through_a_rebase_recovers_exactly() {
+    let scratch = Scratch::new("chain-rebase");
+    let live = scratch.0.join("live");
+    let config = StoreConfig {
+        max_chain_len: 2,
+        ..store_config()
+    };
+    let (mut store, _) = CheckpointStore::open(&live, config.clone()).unwrap();
+    let mut r = chain_runner();
+    let mut incremental = Vec::new();
+    for i in 0..5 {
+        let batch = chain_batch(i);
+        r.ingest(&batch);
+        store.append(&batch).unwrap();
+        incremental.push(store.install(&mut r).unwrap().incremental);
+        assert_eq!(
+            recovered_copy_bytes(&live, &scratch.0.join("copy"), config.clone()),
+            r.checkpoint().to_bytes(),
+            "recovery after install {i} diverged"
+        );
+    }
+    assert_eq!(incremental, [false, true, true, false, true]);
+}
+
 // ---------------------------------------------------------------------------
 // Decoder totality over the golden fixtures: every single-byte corruption
 // and truncation of every fixture must decode to a typed error or to a

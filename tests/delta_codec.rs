@@ -48,20 +48,16 @@ fn batches_from_ops(ops: &[(u8, u32, u32)], base_slots: usize, chunk: usize) -> 
 
 /// Drives a fresh runner over `batches`, snapshotting a base checkpoint
 /// after `split` batches (clearing the changed set exactly as a durable
-/// install does) and the current checkpoint at the end. Returns
-/// `(base, current, changed-slots-since-base)`.
-fn base_and_current(
+/// install does), then ingesting the rest. Returns
+/// `(base, runner, changed-slots-since-base)`.
+fn base_and_runner(
     batches: &[UpdateBatch],
     split: usize,
     parallelism: usize,
     window: Option<usize>,
     record: bool,
     seed: u64,
-) -> (
-    apg::core::StreamCheckpoint,
-    apg::core::StreamCheckpoint,
-    Vec<usize>,
-) {
+) -> (apg::core::StreamCheckpoint, StreamingRunner, Vec<usize>) {
     let graph = DynGraph::with_vertices(24);
     let cfg = AdaptiveConfig::new(3).parallelism(parallelism);
     let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
@@ -79,23 +75,25 @@ fn base_and_current(
     for batch in &batches[split..] {
         runner.ingest(batch);
     }
-    let current = runner.checkpoint();
     let changed = runner.partitioner().changed_slots();
-    (base, current, changed)
+    (base, runner, changed)
 }
 
 /// The core property: delta-encode → wire round-trip → apply equals the
-/// full snapshot, byte for byte.
+/// runner's full snapshot, byte for byte.
 fn assert_delta_equals_full(
     base: &apg::core::StreamCheckpoint,
-    current: &apg::core::StreamCheckpoint,
+    runner: &StreamingRunner,
     changed: &[usize],
 ) {
-    let delta = CheckpointDelta::between(base, current, changed, 7, 0xfeed)
+    let delta = CheckpointDelta::between(base, runner, changed, 7, 0xfeed)
         .expect("append-only growth must be delta-encodable");
-    let full_bytes = current.to_bytes();
+    let full_bytes = runner.checkpoint().to_bytes();
     // In-memory apply.
-    let applied = delta.apply(base).expect("delta applies to its base");
+    let mut applied = base.clone();
+    delta
+        .apply_to(&mut applied)
+        .expect("delta applies to its base");
     assert_eq!(
         applied.to_bytes(),
         full_bytes,
@@ -105,7 +103,10 @@ fn assert_delta_equals_full(
     let decoded = CheckpointDelta::from_bytes(&delta.to_bytes()).expect("delta bytes round-trip");
     assert_eq!(decoded.base_seq, 7);
     assert_eq!(decoded.base_digest, 0xfeed);
-    let applied = decoded.apply(base).expect("decoded delta applies");
+    let mut applied = base.clone();
+    decoded
+        .apply_to(&mut applied)
+        .expect("decoded delta applies");
     assert_eq!(
         applied.to_bytes(),
         full_bytes,
@@ -133,9 +134,9 @@ proptest! {
         }
         let split = 1 + split_frac * (batches.len() - 1) / 100;
         let window = if window == 0 { None } else { Some(window) };
-        let (base, current, changed) =
-            base_and_current(&batches, split, 1, window, record == 1, seed);
-        assert_delta_equals_full(&base, &current, &changed);
+        let (base, runner, changed) =
+            base_and_runner(&batches, split, 1, window, record == 1, seed);
+        assert_delta_equals_full(&base, &runner, &changed);
     }
 
     /// The same property at parallelism 1, 2 and 8 — the changed-set
@@ -151,9 +152,9 @@ proptest! {
         }
         let split = batches.len() / 2;
         for parallelism in [1usize, 2, 8] {
-            let (base, current, changed) =
-                base_and_current(&batches, split, parallelism, None, false, seed);
-            assert_delta_equals_full(&base, &current, &changed);
+            let (base, runner, changed) =
+                base_and_runner(&batches, split, parallelism, None, false, seed);
+            assert_delta_equals_full(&base, &runner, &changed);
         }
     }
 
@@ -239,19 +240,19 @@ proptest! {
     }
 }
 
-/// The empty delta: nothing changed between base and current. The diff is
+/// The empty delta: nothing changed since the base. The diff is
 /// empty, the delta still round-trips, and applying it is the identity.
 #[test]
 fn empty_delta_is_identity() {
     let ops: Vec<(u8, u32, u32)> = (0..12).map(|i| (1u8, i, i + 3)).collect();
     let batches = batches_from_ops(&ops, 24, 4);
     let split = batches.len();
-    let (base, current, changed) = base_and_current(&batches, split, 1, None, false, 11);
+    let (base, runner, changed) = base_and_runner(&batches, split, 1, None, false, 11);
     assert!(changed.is_empty(), "no mutations after the base");
-    let delta = CheckpointDelta::between(&base, &current, &changed, 1, 2).expect("empty delta");
+    let delta = CheckpointDelta::between(&base, &runner, &changed, 1, 2).expect("empty delta");
     assert!(delta.graph.is_empty());
     assert!(delta.labels.is_empty());
-    assert_delta_equals_full(&base, &current, &changed);
+    assert_delta_equals_full(&base, &runner, &changed);
 }
 
 /// A delta applied to the wrong base is a typed error, never a panic or a
@@ -262,10 +263,10 @@ fn delta_rejects_the_wrong_base() {
     let batches = batches_from_ops(&ops, 24, 4);
     let split = batches.len() / 2;
     assert!(split >= 2, "need room for a one-batch-earlier wrong base");
-    let (base, current, changed) = base_and_current(&batches, split, 1, None, false, 3);
-    let delta = CheckpointDelta::between(&base, &current, &changed, 1, 2).expect("delta");
+    let (base, runner, changed) = base_and_runner(&batches, split, 1, None, false, 3);
+    let delta = CheckpointDelta::between(&base, &runner, &changed, 1, 2).expect("delta");
     // A base one batch short of the real one: its timeline cannot chain
     // densely into the delta's suffix, so validation must fire.
-    let (wrong_base, _, _) = base_and_current(&batches, split - 1, 1, None, false, 3);
-    assert!(delta.apply(&wrong_base).is_err());
+    let (mut wrong_base, _, _) = base_and_runner(&batches, split - 1, 1, None, false, 3);
+    assert!(delta.apply_to(&mut wrong_base).is_err());
 }
