@@ -26,6 +26,15 @@
 //!   the aggregate a pure function of `(graph, assignment, workload,
 //!   round)`.
 //!
+//! A query costs O(edges it scans), independent of the graph's vertex
+//! count: a neighbourhood read is the anchor's neighbour list, and a k-hop
+//! traversal reuses a per-thread scratch reset by what the previous
+//! traversal reached. Answering allocates nothing once that scratch has
+//! grown: only a graph with more slots, or a traversal reaching more
+//! vertices, than the thread has met before grows it. Each thread keeps at
+//! most one visited byte per slot of the largest graph it has served, plus
+//! its longest discovery list.
+//!
 //! `apg-core`'s `StreamingRunner` interleaves one serve round per ingested
 //! batch, producing a `ServeStats` timeline alongside the ingestion
 //! timeline — the serving bench sweeps query mix × churn rate ×

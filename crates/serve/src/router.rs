@@ -1,7 +1,7 @@
 //! The query router: read-only execution over a partitioned graph
 //! snapshot.
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::time::Instant;
 
 use apg_exec::fanout;
@@ -12,6 +12,78 @@ use crate::query::{Query, QueryOutcome};
 use crate::stats::ServeStats;
 use crate::workload::QueryWorkload;
 
+thread_local! {
+    /// Each thread's traversal scratch. A thread-local rather than a router
+    /// field because [`QueryRouter::answer`] takes `&self` and
+    /// [`QueryRouter::serve_round`] shares the router across its fan-out
+    /// workers.
+    static TRAVERSAL: RefCell<Traversal> = const {
+        RefCell::new(Traversal {
+            seen: Vec::new(),
+            order: Vec::new(),
+        })
+    };
+}
+
+/// Reusable breadth-first traversal state: one visited flag per vertex slot
+/// and the discovery list, which doubles as the level-ranged frontier.
+///
+/// Between runs `seen` is true exactly at the entries of `order`, so the
+/// next run resets only those. `seen` grows to the largest slot count the
+/// thread has served and never shrinks; no run allocates once both vectors
+/// have reached their high-water marks.
+struct Traversal {
+    seen: Vec<bool>,
+    order: Vec<VertexId>,
+}
+
+impl Traversal {
+    /// Breadth-first traversal of `graph` to depth `k` from the live vertex
+    /// `anchor`. Returns every vertex it reached, anchor excluded, in
+    /// discovery order. Neighbour lists are sorted, so that order — and
+    /// every outcome counted over it — is deterministic. Costs O(edges
+    /// scanned) plus the reset of the previous run's marks.
+    fn run(&mut self, graph: &DynGraph, anchor: VertexId, k: usize) -> &[VertexId] {
+        // Clearing one mark per reached vertex is a scattered write; once
+        // the last run reached a sixteenth of the scratch, one sequential
+        // fill is cheaper.
+        if self.order.len() * 16 >= self.seen.len() {
+            self.seen.fill(false);
+        } else {
+            for &v in &self.order {
+                self.seen[v as usize] = false;
+            }
+        }
+        self.order.clear();
+        let n = graph.num_vertices();
+        if self.seen.len() < n {
+            self.seen.resize(n, false);
+        }
+
+        self.seen[anchor as usize] = true;
+        self.order.push(anchor);
+        let mut level = 0..1;
+        for _ in 0..k {
+            for i in level.clone() {
+                let v = self.order[i];
+                for &w in graph.neighbors(v) {
+                    if !self.seen[w as usize] {
+                        self.seen[w as usize] = true;
+                        self.order.push(w);
+                    }
+                }
+            }
+            // `k` may exceed the anchor's eccentricity: stop at the first
+            // level that discovers nothing.
+            if level.end == self.order.len() {
+                break;
+            }
+            level = level.end..self.order.len();
+        }
+        &self.order[1..]
+    }
+}
+
 /// Routes queries to their anchor's serving domain and executes them
 /// against a borrowed `(graph, assignment)` snapshot.
 ///
@@ -21,6 +93,13 @@ use crate::workload::QueryWorkload;
 /// nothing. Each query executes at the partition owning its anchor; every
 /// vertex the traversal reaches is one *hop*, **local** when that vertex
 /// lives in the anchor's partition and **remote** otherwise.
+///
+/// A query costs O(edges scanned), not O(vertices): a one-hop read is the
+/// anchor's neighbour list itself, and a deeper traversal reuses a
+/// per-thread scratch that it resets by the vertices the previous
+/// traversal reached. Answering allocates nothing once that scratch has
+/// grown to the largest graph and the longest traversal the thread has
+/// met; it keeps one byte per slot of that graph plus that discovery list.
 ///
 /// See the [crate docs](crate) for a worked example.
 pub struct QueryRouter<'a> {
@@ -56,9 +135,9 @@ impl<'a> QueryRouter<'a> {
                 hops: 0,
                 local_hops: 0,
             },
-            // A neighborhood read is exactly a 1-hop traversal; routing
-            // both through the same BFS keeps the accounting semantics
-            // identical by construction.
+            // A neighborhood read is a 1-hop traversal with the same
+            // accounting; `neighborhood_is_one_hop` in
+            // tests/serve_correctness.rs pins the two equal.
             Query::Neighborhood(_) => self.k_hop(anchor, 1),
             Query::KHop { k, .. } => self.k_hop(anchor, k),
         }
@@ -71,55 +150,34 @@ impl<'a> QueryRouter<'a> {
         if !self.graph.is_vertex(anchor) {
             return Vec::new();
         }
-        let mut reached = Vec::new();
-        self.bfs(anchor, k, |v, _| reached.push(v));
-        reached
+        self.reached(anchor, k, <[VertexId]>::to_vec)
     }
 
-    /// Bounded BFS with hop accounting. Each *discovered* vertex is one
+    /// Hop accounting for a traversal. Each *discovered* vertex is one
     /// hop — a traversal fetches every discovered vertex exactly once, from
     /// whichever partition owns it.
     fn k_hop(&self, anchor: VertexId, k: usize) -> QueryOutcome {
         let home = self.assignment.partition_of(anchor);
-        let mut outcome = QueryOutcome {
+        self.reached(anchor, k, |reached| QueryOutcome {
             found: true,
-            result_size: 0,
-            hops: 0,
-            local_hops: 0,
-        };
-        self.bfs(anchor, k, |v, _| {
-            outcome.result_size += 1;
-            outcome.hops += 1;
-            if self.assignment.partition_of(v) == home {
-                outcome.local_hops += 1;
-            }
-        });
-        outcome
+            result_size: reached.len(),
+            hops: reached.len(),
+            local_hops: reached
+                .iter()
+                .filter(|&&v| self.assignment.partition_of(v) == home)
+                .count(),
+        })
     }
 
-    /// Breadth-first traversal to depth `k`, invoking `visit(vertex,
-    /// depth)` once per discovered vertex (anchor excluded), in discovery
-    /// order. Neighbour lists are sorted, so discovery order — and with it
-    /// every outcome — is deterministic.
-    fn bfs(&self, anchor: VertexId, k: usize, mut visit: impl FnMut(VertexId, usize)) {
-        if k == 0 {
-            return;
-        }
-        let mut seen = vec![false; self.graph.num_vertices()];
-        seen[anchor as usize] = true;
-        let mut frontier = VecDeque::new();
-        frontier.push_back((anchor, 0usize));
-        while let Some((v, depth)) = frontier.pop_front() {
-            for &w in self.graph.neighbors(v) {
-                if seen[w as usize] {
-                    continue;
-                }
-                seen[w as usize] = true;
-                visit(w, depth + 1);
-                if depth + 1 < k {
-                    frontier.push_back((w, depth + 1));
-                }
-            }
+    /// Hands `f` the vertices within `k` hops of the live vertex `anchor`
+    /// (anchor excluded), in discovery order. One hop needs no visited set:
+    /// `DynGraph` neighbour lists are sorted, duplicate-free and never hold
+    /// their own vertex, so they are exactly the 1-hop discovery order.
+    fn reached<R>(&self, anchor: VertexId, k: usize, f: impl FnOnce(&[VertexId]) -> R) -> R {
+        match k {
+            0 => f(&[]),
+            1 => f(self.graph.neighbors(anchor)),
+            _ => TRAVERSAL.with(|t| f(t.borrow_mut().run(self.graph, anchor, k))),
         }
     }
 
